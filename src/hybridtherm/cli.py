@@ -55,6 +55,7 @@ from .state import (
     HybridState,
     load_state,
     state_to_json_dict,
+    validate_state,
 )
 from .thermal import hybrid_thermal, thermal_decomposition
 from .verify import random_hybrid_state, verification_report
@@ -191,13 +192,16 @@ def build_continuum(scenario: dict):
     x_max = opts.get("x_max", float(offset + 6.0 * sigma))
     points = opts.get("points", 401)
     x = np.linspace(-x_max, x_max, points)
-    evo = FokkerPlanckEvolution(
-        params,
-        x,
-        gamma=opts["gamma"],
-        kappa_th=opts.get("kappa_th", 1.0),
-        drift_scheme=opts.get("drift_scheme", "central"),
-    )
+    try:
+        evo = FokkerPlanckEvolution(
+            params,
+            x,
+            gamma=opts["gamma"],
+            kappa_th=opts.get("kappa_th", 1.0),
+            drift_scheme=opts.get("drift_scheme", "central"),
+        )
+    except ValueError as err:
+        raise InputError(str(err)) from err
     return params, evo
 
 
@@ -243,14 +247,16 @@ def _initial_discrete(scenario, h, gen, beta, rng) -> HybridState:
         if "path" not in opts:
             raise InputError("initial_state kind 'file' needs a path")
         try:
-            return load_state(opts["path"])
+            state = load_state(opts["path"])
+            validate_state(state)
+            return state
         except (OSError, ValueError, KeyError) as err:
             raise InputError(f"cannot load initial state: {err}") from err
     raise InputError(f"unsupported initial state {kind!r}")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(path: Path, text: str) -> None:

@@ -205,13 +205,26 @@ def build_generator(
 def _flat(label: int, index: int, d: int) -> int:
     return label * d + index
 
+
+def _edge_list(gen: HybridGenerator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed transitions as flat (source, target, rate) arrays."""
+    d = gen.dim_s
+    edges = np.array(
+        [
+            (_flat(cs, ks, d), _flat(ct, kt, d), rate)
+            for (cs, ks), (ct, kt), rate in gen.directed_transitions()
+        ],
+        dtype=float,
+    ).reshape(-1, 3)
+    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+
+
 def _build_caches(gen: HybridGenerator) -> None:
     L, d = gen.num_labels, gen.dim_s
-    outflow = np.zeros((L, d))
+    src, tgt, rate = _edge_list(gen)
+    outflow = np.bincount(src, rate, minlength=L * d).reshape(L, d)
     gain = np.zeros((L * d, L * d))
-    for (cs, ks), (ct, kt), rate in gen.directed_transitions():
-        outflow[cs, ks] += rate
-        gain[_flat(ct, kt, d), _flat(cs, ks, d)] += rate
+    np.add.at(gain, (tgt, src), rate)
     freq = gen.eigenvalues[:, :, None] - gen.eigenvalues[:, None, :]
     decay = 0.5 * (outflow[:, :, None] + outflow[:, None, :])
     gen._multiplier = -1j * freq - decay
@@ -356,53 +369,96 @@ def superoperator_apply(sup: np.ndarray, full: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # stationary state
 
-def _closed_classes(gen: HybridGenerator) -> list[list[int]]:
-    """Strongly connected closed classes of the population jump graph."""
-    L, d = gen.num_labels, gen.dim_s
-    n = L * d
-    adj = np.zeros((n, n), dtype=bool)
-    for (cs, ks), (ct, kt), _ in gen.directed_transitions():
-        adj[_flat(cs, ks, d), _flat(ct, kt, d)] = True
-    reach = adj | np.eye(n, dtype=bool)
-    while True:
-        nxt = reach | (reach.astype(np.uint8) @ reach.astype(np.uint8) > 0)
-        if np.array_equal(nxt, reach):
-            break
-        reach = nxt
-    mutual = reach & reach.T
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        members = np.flatnonzero(mutual[i])
-        seen[members] = True
-        # closed: nothing reachable outside the class
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        if not np.any(reach[members][:, outside]):
-            classes.append([int(m) for m in members])
-    return classes
+def _closed_classes(n: int, src: np.ndarray, tgt: np.ndarray) -> list[np.ndarray]:
+    """Closed classes of the jump graph on n nodes, ordered by first member.
 
-
-def _gth_stationary(rates: np.ndarray) -> np.ndarray:
-    """Stationary law of an irreducible rate matrix (rates[i, j] = i -> j).
-
-    Subtraction-free state elimination, so entries keep full relative
-    accuracy even when the stationary law spans many orders of magnitude.
+    An iterative Tarjan pass finds the strongly connected components in
+    O(n + m); a component is closed when no edge leaves it.
     """
-    a = np.array(rates, dtype=float)
-    n = a.shape[0]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), tgt.tolist()):
+        adj[i].append(j)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # a visited node stays on the stack until it gets one
+    stack: list[int] = []
+    counter = num_comps = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = num_comps
+                    num_comps += 1
+    comp = np.array(comp, dtype=np.intp)
+    leaves = np.zeros(num_comps, dtype=bool)
+    leaves[comp[src[comp[src] != comp[tgt]]]] = True
+    classes = [np.flatnonzero(comp == c) for c in np.flatnonzero(~leaves)]
+    return sorted(classes, key=lambda members: members[0])
+
+
+_RESCALE_ABOVE = 2.0**256
+
+
+def _gth_stationary(
+    n: int, src: np.ndarray, tgt: np.ndarray, rate: np.ndarray
+) -> np.ndarray:
+    """Stationary law of an irreducible chain given as edges (src -> tgt).
+
+    Grassmann-Taksar-Heyman elimination over sparse rows: eliminating a
+    state touches only its remaining in- and out-neighbours, so a banded
+    chain costs O(n * bandwidth**2).  It is subtraction-free, so entries
+    keep full relative accuracy even when the law spans many orders of
+    magnitude.  The back-substitution rescales the running law by a power
+    of two whenever it grows past 2**256, so it never overflows; weights
+    far below the peak underflow to zero instead.
+    """
+    out: list[dict[int, float]] = [{} for _ in range(n)]
+    into: list[dict[int, float]] = [{} for _ in range(n)]
+    for i, j, r in zip(src.tolist(), tgt.tolist(), rate.tolist()):
+        out[i][j] = into[j][i] = out[i].get(j, 0.0) + r
+    back: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for k in range(n - 1, 0, -1):
-        s = float(np.sum(a[k, :k]))
-        if s <= 0.0:
+        row = out[k]
+        total = sum(row.values())
+        if not total > 0.0:
             raise DegenerateStationaryError(2, "rate matrix is reducible")
-        a[:k, k] /= s
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+        for j in row:
+            del into[j][k]
+        for i, r in into[k].items():
+            w = r / total
+            back[k].append((i, w))
+            row_i = out[i]
+            del row_i[k]
+            for j, rj in row.items():
+                if j != i:
+                    row_i[j] = into[j][i] = row_i.get(j, 0.0) + w * rj
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):
-        pi[k] = float(np.dot(pi[:k], a[:k, k]))
+        pi[k] = sum(pi[i] * w for i, w in back[k])
+        if pi[k] > _RESCALE_ABOVE:
+            pi[: k + 1] = np.ldexp(pi[: k + 1], -math.frexp(pi[k])[1])
     return pi / np.sum(pi)
 
 
@@ -430,28 +486,31 @@ def stationary_state(gen: HybridGenerator) -> HybridState:
     degenerate coherences).
     """
     L, d = gen.num_labels, gen.dim_s
-    classes = _closed_classes(gen)
-    null_dim = len(classes) + _frozen_coherence_pairs(gen)
+    n = L * d
+    src, tgt, rate = _edge_list(gen)
+    classes = _closed_classes(n, src, tgt)
+    frozen = _frozen_coherence_pairs(gen)
+    null_dim = len(classes) + frozen
     if null_dim != 1:
         raise DegenerateStationaryError(
             null_dim,
             f"{len(classes)} closed population classes, "
-            f"{_frozen_coherence_pairs(gen)} frozen coherence components",
+            f"{frozen} frozen coherence components",
         )
     members = classes[0]
-    n = L * d
-    rates = np.zeros((n, n))
-    for (cs, ks), (ct, kt), rate in gen.directed_transitions():
-        rates[_flat(cs, ks, d), _flat(ct, kt, d)] += rate
+    local = np.full(n, -1, dtype=np.intp)
+    local[members] = np.arange(members.size)
+    inside = (local[src] >= 0) & (local[tgt] >= 0)
     pi = np.zeros(n)
-    sub = rates[np.ix_(members, members)]
-    pi[members] = _gth_stationary(sub)
+    pi[members] = _gth_stationary(
+        members.size, local[src[inside]], local[tgt[inside]], rate[inside]
+    )
     pops = pi.reshape(L, d)
     v = gen.eigenvectors
     result = HybridState(np.einsum("cki,ci,cli->ckl", v, pops, v.conj()))
-    residual = max(frobenius(b) for b in apply(gen, result).blocks)
+    residual = float(np.max([frobenius(b) for b in apply(gen, result).blocks]))
     tol = 1e-10 * max(1.0, gen.max_rate())
-    if residual > tol:
+    if not residual <= tol:
         raise RuntimeError(
             f"stationary residual {residual:.3e} exceeds {tol:.1e}"
         )

@@ -60,7 +60,10 @@ class HybridState:
 
 
 def validate_state(state: HybridState, normalized: bool = True) -> None:
-    """Check Hermiticity, positivity up to the clipping band, and trace."""
+    """Check finiteness, Hermiticity, positivity up to the clipping band, and trace."""
+    # eigvalsh can return finite values for a block holding NaN
+    if not np.all(np.isfinite(state.blocks)):
+        raise UnphysicalStateError("state has non-finite entries")
     for c in range(state.num_labels):
         check_hermitian(state.blocks[c], f"block {c}")
     scale = max(state.total_trace(), 1.0)
@@ -68,11 +71,11 @@ def validate_state(state: HybridState, normalized: bool = True) -> None:
         float(np.min(np.linalg.eigvalsh(state.blocks[c])))
         for c in range(state.num_labels)
     )
-    if low < -EIG_CLIP * scale:
+    if not low >= -EIG_CLIP * scale:
         raise UnphysicalStateError(
             f"minimum block eigenvalue {low:.3e} below -{EIG_CLIP:.0e} * {scale:.3e}"
         )
-    if normalized and abs(state.total_trace() - 1.0) > 1e-10:
+    if normalized and not abs(state.total_trace() - 1.0) <= 1e-10:
         raise UnphysicalStateError(
             f"total trace {state.total_trace()!r} != 1 within 1e-10"
         )
@@ -90,7 +93,7 @@ def quantum_marginal(state: HybridState) -> np.ndarray:
 
 def _block_entropy_terms(block: np.ndarray, scale: float) -> float:
     w = np.linalg.eigvalsh(block)
-    if np.min(w) < -EIG_CLIP * scale:
+    if not np.min(w) >= -EIG_CLIP * scale:
         raise UnphysicalStateError(
             f"eigenvalue {np.min(w):.3e} below the -{EIG_CLIP:.0e} clipping band"
         )

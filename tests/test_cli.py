@@ -5,12 +5,16 @@ output files are checked without subprocess overhead.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybridtherm import cli
+from hybridtherm.models import TlsScenario, build_tls
 from hybridtherm.state import HybridState, save_state
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -148,6 +152,32 @@ class TestScenarioValidation:
         )
         assert code == 2
         assert "needs a path" in capsys.readouterr().err
+
+    def test_file_state_with_negative_eigenvalue(self, tmp_path, capsys):
+        # trace 1, but block 0 has eigenvalues 5 and -4
+        blocks = np.zeros((2, 2, 2), dtype=complex)
+        blocks[0] = np.array([[0.5, 4.5], [4.5, 0.5]])
+        state_path = tmp_path / "start.json"
+        save_state(HybridState(blocks), str(state_path))
+        data = tls_scenario(initial_state={"kind": "file", "path": str(state_path)})
+        code = cli.main(
+            ["evolve", "--scenario", write_scenario(tmp_path, data), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eigenvalue" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_fokker_planck_grid_coarser_than_delta_x(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "fokker_planck.json").read_text())
+        data["fokker_planck"]["points"] = 3
+        code = cli.main(
+            ["evolve", "--scenario", write_scenario(tmp_path, data), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exceeds delta_x" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_evolve_without_integrator_block(self, tmp_path, capsys):
         data = tls_scenario()
@@ -425,6 +455,32 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_generator_writes_strict_json(self, tmp_path, capsys, monkeypatch):
+        h, gen = build_tls(TlsScenario(beta=1.0, omega_a=1.0, omega_b=1.3))
+        gen._gain_matrix[0, 0] = np.nan
+        monkeypatch.setattr(cli, "build_discrete", lambda scenario: (h, gen))
+        out = tmp_path / "out"
+        code = cli.main(
+            [
+                "verify",
+                "--scenario",
+                write_scenario(tmp_path, tls_scenario()),
+                "--out",
+                str(out),
+                "--states",
+                "2",
+            ]
+        )
+        assert code == 1
+
+        def refuse(token):
+            raise AssertionError(f"non-strict JSON token {token}")
+
+        report = json.loads((out / "verify.json").read_text(), parse_constant=refuse)
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        assert failed["stationary_matches_thermal"]["residual"] is None
+        assert "FAIL stationary_matches_thermal" in capsys.readouterr().out
 
     def test_rejects_fokker_planck(self, tmp_path):
         code = cli.main(

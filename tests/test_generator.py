@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hybridtherm.generator import (
     DegenerateStationaryError,
     TransitionSpec,
     _build_caches,
+    _gth_stationary,
     apply,
     basis_change_unitary,
     bipartite_superoperator,
@@ -292,6 +294,72 @@ class TestStationaryState:
         want = classical_marginal(thermal)
         assert np.max(np.abs(got - want) / want) < 1e-12
 
+    def _chain(self, energies):
+        n = energies.size
+        h = HybridHamiltonian(
+            energies=energies,
+            h_system=np.zeros((1, 1), dtype=complex),
+            coupling=0.0,
+            h_bar=np.zeros((n, 1, 1), dtype=complex),
+        )
+        specs = [TransitionSpec.between(c, 0, c + 1, 0, 1.0) for c in range(n - 1)]
+        return build_generator(h, specs, 1.0)
+
+    def test_chain_of_258_states_is_one_class(self):
+        # 258 states is where counting paths in uint8 would wrap to zero
+        gen = self._chain(np.zeros(258))
+        stat = stationary_state(gen)
+        assert np.max(np.abs(stat.blocks[:, 0, 0] - 1 / 258)) < 1e-15
+
+    def test_reducible_chain_of_258_states_has_two_closed_ends(self):
+        # energies fall towards both ends so steeply that every uphill rate
+        # underflows to zero: each end absorbs, and the closure must count
+        # two classes however many states lie between them
+        gen = self._chain(-1e3 * np.abs(np.arange(258) - 128.5))
+        assert gen.min_rate() == 1.0
+        with pytest.raises(DegenerateStationaryError) as err:
+            stationary_state(gen)
+        assert err.value.dimension == 2
+
+    def test_nan_gain_is_not_returned(self):
+        s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)
+        _, gen = build_tls(s)
+        gen._gain_matrix[0, 0] = np.nan
+        with pytest.raises(RuntimeError, match="stationary residual nan"):
+            stationary_state(gen)
+
+
+class TestSparseGth:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_matches_null_space_off_detailed_balance(self, rng, n):
+        # random rates on a random graph plus a directed cycle, so the chain
+        # is irreducible but in general not reversible
+        linalg = pytest.importorskip("scipy.linalg")
+        for _ in range(10):
+            q = np.where(rng.random((n, n)) < 0.4, rng.uniform(0.05, 5.0, (n, n)), 0.0)
+            cycle = np.arange(n)
+            q[cycle, np.roll(cycle, -1)] += rng.uniform(0.05, 5.0, n)
+            np.fill_diagonal(q, 0.0)
+            src, tgt = np.nonzero(q)
+            got = _gth_stationary(n, src, tgt, q[src, tgt])
+            ker = linalg.null_space((q - np.diag(q.sum(axis=1))).T)
+            assert ker.shape[1] == 1
+            want = ker[:, 0] / ker[:, 0].sum()
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_law_spanning_beyond_double_range(self):
+        # birth-death chain with ratio 2**-600 per step: the far end sits
+        # 2**-2400 below the peak, so only the rescaled substitution works
+        n = 5
+        src = np.array([0, 1, 2, 3, 1, 2, 3, 4])
+        tgt = np.array([1, 2, 3, 4, 0, 1, 2, 3])
+        rate = np.array([1.0] * 4 + [2.0**-600] * 4)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _gth_stationary(n, src, tgt, rate)
+        assert got[4] == 1.0
+        assert got[3] == 2.0**-600
+        assert np.all(got[:3] == 0.0)
+
 
 class TestFaultInjection:
     def test_corrupted_uphill_rate_is_detected(self, rng):
@@ -308,6 +376,18 @@ class TestFaultInjection:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "detailed_balance" in failed
         assert "thermal_stationarity" in failed
+
+    def test_nan_gain_fails_verification_in_strict_json(self):
+        s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
+        _, gen = build_tls(s)
+        gen._gain_matrix[0, 0] = np.nan
+        report = verification_report(gen, np.random.default_rng(3), num_states=3)
+        assert not report["all_passed"]
+        by_name = {c["name"]: c for c in report["checks"]}
+        for name in ("thermal_stationarity", "stationary_matches_thermal"):
+            assert by_name[name]["passed"] is False
+            assert by_name[name]["residual"] is None
+        json.dumps(report, allow_nan=False)
 
     def test_bookkeeping_corruption_without_rebuild(self, rng):
         _, gen = random_generator(rng)

@@ -159,6 +159,26 @@ class TestLatticeStationary:
         b = stationary_state(gen_b)
         assert hybrid_trace_distance(a, b) < 1e-9
 
+    @pytest.mark.parametrize("half_width", [70, 150, 1000])
+    def test_bundled_parameters_at_large_sizes(self, half_width):
+        # the centre-to-edge weight ratio exp(0.15 N**2) leaves double range
+        # from N = 70 on; tail weights may underflow, nothing may overflow
+        s = LatticeScenario(
+            beta=1.0, half_width=half_width, omega_0=1.0, delta_omega=0.15,
+            delta_e=0.15,
+        )
+        with warnings.catch_warnings(), np.errstate(
+            over="raise", invalid="raise", divide="raise"
+        ):
+            warnings.simplefilter("error")
+            h, gen = build_lattice(s)
+            got = classical_marginal(stationary_state(gen))
+            want = lattice_weights(s, half_width)
+        assert h.num_labels == 2 * half_width + 1
+        normal = want > 1e-300
+        assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) < 1e-8
+        assert np.max(got[~normal], initial=0.0) <= 1e-300
+
     def test_sites_axis(self):
         s = LatticeScenario(beta=1.0, half_width=7, delta_e=0.5, omega_0=1.0)
         h, _ = build_lattice(s)
