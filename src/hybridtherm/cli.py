@@ -82,10 +82,15 @@ def _validate_scenario(data) -> None:
         raise InputError(f"scenario invalid at {first.json_path}: {first.message}")
 
 
+def _reject_constant(token: str):
+    # json accepts NaN and Infinity, and the schema's bounds let NaN through
+    raise InputError(f"scenario holds the non-finite number {token}")
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except OSError as err:
         raise InputError(f"cannot read scenario: {err}") from err
     except json.JSONDecodeError as err:
@@ -470,6 +475,8 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as err:
         raise InputError(f"bad sweep values: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"sweep values must be finite, got {args.values!r}")
     if not values:
         raise InputError("no sweep values given")
 

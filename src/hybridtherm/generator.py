@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HermitianEigensystem, eigh, frobenius
+from .linalg import eigh
 from .state import HybridHamiltonian, HybridState
 
 DEGENERACY_RTOL = 1e-10
@@ -89,16 +89,25 @@ class RatePair:
 
 @dataclass
 class HybridGenerator:
+    """Conditional eigenbases stacked as (L, d) eigenvalues and (L, d, d)
+    eigenvectors, and the resolved transition pairs.
+
+    The caches filled by _build_caches are the linear-block core: the
+    directed transitions as one flat edge list (_src, _tgt, _rate) over
+    states label * d + index, the total outflow of every state, and the
+    complex multiplier of every eigenbasis coherence.
+    """
+
     hamiltonian: HybridHamiltonian
     beta: float
-    eigensystems: list[HermitianEigensystem]
     rate_pairs: list[RatePair]
-    # caches filled at build time
-    eigenvalues: np.ndarray = field(repr=False, default=None)
-    eigenvectors: np.ndarray = field(repr=False, default=None)
-    _multiplier: np.ndarray = field(repr=False, default=None)
-    _gain_matrix: np.ndarray = field(repr=False, default=None)
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+    _src: np.ndarray = field(repr=False, default=None)
+    _tgt: np.ndarray = field(repr=False, default=None)
+    _rate: np.ndarray = field(repr=False, default=None)
     _outflow: np.ndarray = field(repr=False, default=None)
+    _multiplier: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_labels(self) -> int:
@@ -171,9 +180,8 @@ def build_generator(
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     d = h.dim_s
-    systems = [eigh(h.conditional(c), f"conditional {c}") for c in range(h.num_labels)]
-    eps = np.stack([es.eigenvalues for es in systems])
-    vecs = np.stack([es.eigenvectors for es in systems])
+    es = eigh(h.conditionals(), "conditional")
+    eps = es.eigenvalues
 
     pairs = []
     for spec in specs:
@@ -193,10 +201,9 @@ def build_generator(
     gen = HybridGenerator(
         hamiltonian=h,
         beta=beta,
-        eigensystems=systems,
         rate_pairs=pairs,
         eigenvalues=eps,
-        eigenvectors=vecs,
+        eigenvectors=es.eigenvectors,
     )
     _build_caches(gen)
     return gen
@@ -216,19 +223,16 @@ def _edge_list(gen: HybridGenerator) -> tuple[np.ndarray, np.ndarray, np.ndarray
         ],
         dtype=float,
     ).reshape(-1, 3)
-    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2]
+    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2].copy()
 
 
 def _build_caches(gen: HybridGenerator) -> None:
     L, d = gen.num_labels, gen.dim_s
-    src, tgt, rate = _edge_list(gen)
-    outflow = np.bincount(src, rate, minlength=L * d).reshape(L, d)
-    gain = np.zeros((L * d, L * d))
-    np.add.at(gain, (tgt, src), rate)
+    gen._src, gen._tgt, gen._rate = _edge_list(gen)
+    outflow = np.bincount(gen._src, gen._rate, minlength=L * d).reshape(L, d)
     freq = gen.eigenvalues[:, :, None] - gen.eigenvalues[:, None, :]
     decay = 0.5 * (outflow[:, :, None] + outflow[:, None, :])
     gen._multiplier = -1j * freq - decay
-    gen._gain_matrix = gain
     gen._outflow = outflow
 
 
@@ -236,11 +240,11 @@ def apply(gen: HybridGenerator, state: HybridState) -> HybridState:
     """Time derivative of a hybrid state under the generator.
 
     Evaluated in the local eigenbases, where the commutator and every
-    anticommutator are elementwise multipliers and the jump gains feed the
-    diagonal; algebraically identical to the operator form used by
-    collisional_apply.  The basis changes are batched matmuls, not
-    einsum(optimize=True), whose path planning would cost more than the 2x2
-    contraction itself.
+    anticommutator are elementwise multipliers and the jump gains, scattered
+    along the edge list, feed the diagonal; algebraically identical to the
+    operator form used by collisional_apply.  The basis changes are batched
+    matmuls, not einsum(optimize=True), whose path planning would cost more
+    than the 2x2 contraction itself.
     """
     if state.num_labels != gen.num_labels or state.dim_s != gen.dim_s:
         raise ValueError("state shape does not match generator")
@@ -249,21 +253,19 @@ def apply(gen: HybridGenerator, state: HybridState) -> HybridState:
     s = vh @ state.blocks @ v
     ds = gen._multiplier * s
     pops = np.einsum("cii->ci", s).real.reshape(-1)
-    gains = (gen._gain_matrix @ pops).reshape(gen.num_labels, gen.dim_s)
+    gains = np.bincount(gen._tgt, gen._rate * pops[gen._src], minlength=pops.size)
     idx = np.arange(gen.dim_s)
-    ds[:, idx, idx] += gains
+    ds[:, idx, idx] += gains.reshape(gen.num_labels, gen.dim_s)
     out = v @ ds @ vh
     out = 0.5 * (out + out.conj().transpose(0, 2, 1))
     return HybridState(out)
 
 
-def basis_change_unitary(
-    a: HermitianEigensystem, b: HermitianEigensystem
-) -> np.ndarray:
-    """Unitary sending the k-th eigenvector of a to the k-th of b."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
-    return b.eigenvectors @ a.eigenvectors.conj().T
+def basis_change_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unitary sending the k-th column of eigenvector matrix a to the k-th of b."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return b @ a.conj().T
 
 
 def collisional_apply(gen: HybridGenerator, state: HybridState) -> HybridState:
@@ -291,7 +293,7 @@ def collisional_apply(gen: HybridGenerator, state: HybridState) -> HybridState:
             a_op = np.outer(vecs[ct][:, kt], src_vec.conj())
             out[ct] += rate * (a_op @ rho_s @ a_op.conj().T)
         else:
-            u_tilde = basis_change_unitary(gen.eigensystems[ct], gen.eigensystems[cs])
+            u_tilde = basis_change_unitary(vecs[ct], vecs[cs])
             a_op = np.outer(vecs[ct][:, kt], vecs[ct][:, ks].conj())
             moved = u_tilde.conj().T @ rho_s @ u_tilde
             out[ct] += rate * (a_op @ moved @ a_op.conj().T)
@@ -319,16 +321,11 @@ def extract_state(full: np.ndarray, num_labels: int) -> HybridState:
 
 
 def classical_offdiagonal_norm(full: np.ndarray, num_labels: int) -> float:
-    """Largest Frobenius norm among off-diagonal classical blocks."""
+    """Largest Frobenius norm among off-diagonal classical blocks; NaN if any is NaN."""
     d = full.shape[0] // num_labels
-    worst = 0.0
-    for c1 in range(num_labels):
-        for c2 in range(num_labels):
-            if c1 == c2:
-                continue
-            blk = full[c1 * d : (c1 + 1) * d, c2 * d : (c2 + 1) * d]
-            worst = max(worst, frobenius(blk))
-    return worst
+    blocks = full.reshape(num_labels, d, num_labels, d).transpose(0, 2, 1, 3)
+    norms = np.linalg.norm(blocks, axis=(2, 3))
+    return float(np.max(norms[~np.eye(num_labels, dtype=bool)], initial=0.0))
 
 
 def bipartite_superoperator(gen: HybridGenerator, max_dim: int = 256) -> np.ndarray:
@@ -464,16 +461,11 @@ def _gth_stationary(
 
 def _frozen_coherence_pairs(gen: HybridGenerator) -> int:
     """Count coherence components with exactly zero damping and frequency."""
-    count = 0
     scale = max(1.0, float(np.max(np.abs(gen.eigenvalues))))
-    for c in range(gen.num_labels):
-        for a in range(gen.dim_s):
-            for b in range(a + 1, gen.dim_s):
-                damp = gen._outflow[c, a] + gen._outflow[c, b]
-                freq = abs(gen.eigenvalues[c, a] - gen.eigenvalues[c, b])
-                if damp == 0.0 and freq <= DEGENERACY_RTOL * scale:
-                    count += 2
-    return count
+    a, b = np.triu_indices(gen.dim_s, 1)
+    damp = gen._outflow[:, a] + gen._outflow[:, b]
+    freq = np.abs(gen.eigenvalues[:, a] - gen.eigenvalues[:, b])
+    return 2 * int(np.count_nonzero((damp == 0.0) & (freq <= DEGENERACY_RTOL * scale)))
 
 
 def stationary_state(gen: HybridGenerator) -> HybridState:
@@ -487,7 +479,7 @@ def stationary_state(gen: HybridGenerator) -> HybridState:
     """
     L, d = gen.num_labels, gen.dim_s
     n = L * d
-    src, tgt, rate = _edge_list(gen)
+    src, tgt, rate = gen._src, gen._tgt, gen._rate
     classes = _closed_classes(n, src, tgt)
     frozen = _frozen_coherence_pairs(gen)
     null_dim = len(classes) + frozen
@@ -497,7 +489,11 @@ def stationary_state(gen: HybridGenerator) -> HybridState:
             f"{len(classes)} closed population classes, "
             f"{frozen} frozen coherence components",
         )
+    # eliminating from the top of the spectrum down removes the least likely
+    # state left each time; under detailed balance every ratio r / total in
+    # the elimination is then at most one, however far the weights spread
     members = classes[0]
+    members = members[np.argsort(gen.eigenvalues.reshape(-1)[members], kind="stable")]
     local = np.full(n, -1, dtype=np.intp)
     local[members] = np.arange(members.size)
     inside = (local[src] >= 0) & (local[tgt] >= 0)
@@ -508,7 +504,7 @@ def stationary_state(gen: HybridGenerator) -> HybridState:
     pops = pi.reshape(L, d)
     v = gen.eigenvectors
     result = HybridState(np.einsum("cki,ci,cli->ckl", v, pops, v.conj()))
-    residual = float(np.max([frobenius(b) for b in apply(gen, result).blocks]))
+    residual = float(np.max(np.linalg.norm(apply(gen, result).blocks, axis=(1, 2))))
     tol = 1e-10 * max(1.0, gen.max_rate())
     if not residual <= tol:
         raise RuntimeError(

@@ -22,24 +22,30 @@ class ExpRangeError(ValueError):
     """Requested scaled exponential would leave double-precision range."""
 
 
-def hermiticity_defect(mat: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest |M - M^dag| entry and its index."""
-    diff = np.abs(mat - mat.conj().T)
-    idx = np.unravel_index(np.argmax(diff), diff.shape)
-    return float(diff[idx]), (int(idx[0]), int(idx[1]))
-
-
 def check_hermitian(mat: np.ndarray, name: str = "matrix") -> None:
-    """Reject non-square or non-Hermitian input with a located diagnostic."""
+    """Reject non-square, non-finite or non-Hermitian input with a located diagnostic.
+
+    A stack of shape (..., d, d) is checked block by block, each against its
+    own scale, and the first failing block is named by its flat index.
+    """
     mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {mat.shape}")
-    scale = max(float(np.max(np.abs(mat))), 1.0)
-    defect, idx = hermiticity_defect(mat)
-    if defect > HERMITICITY_RTOL * scale:
+    d = mat.shape[-1]
+    flat = mat.reshape(-1, d, d)
+    diff = np.abs(flat - flat.conj().transpose(0, 2, 1)).reshape(-1, d * d)
+    defect = np.max(diff, axis=1)
+    scale = np.maximum(np.max(np.abs(flat).reshape(-1, d * d), axis=1), 1.0)
+    # written so that a NaN defect or scale fails
+    bad = np.flatnonzero(~(defect <= HERMITICITY_RTOL * scale))
+    if bad.size:
+        b = int(bad[0])
+        idx = np.unravel_index(np.argmax(diff[b]), (d, d))
+        label = name if mat.ndim == 2 else f"{name}[{b}]"
         raise NonHermitianError(
-            f"{name} is not Hermitian: |M - M^dag| = {defect:.3e} at {idx} "
-            f"(tolerance {HERMITICITY_RTOL:.1e} * {scale:.3e})"
+            f"{label} is not Hermitian: |M - M^dag| = {defect[b]:.3e} at "
+            f"{(int(idx[0]), int(idx[1]))} "
+            f"(tolerance {HERMITICITY_RTOL:.1e} * {scale[b]:.3e})"
         )
 
 
@@ -55,30 +61,25 @@ class HermitianEigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        v = self.eigenvectors
+        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, copy=True)
-    mags = np.abs(out)
-    for k in range(out.shape[1]):
-        # argmax picks the lowest index among exact ties
-        pivot = int(np.argmax(mags[:, k]))
-        ref = out[pivot, k]
-        if ref != 0:
-            out[:, k] *= np.abs(ref) / ref
-        # force the pivot exactly real
-        out[pivot, k] = out[pivot, k].real
+    # argmax picks the lowest index among exact ties; eigenvector columns
+    # have unit norm, so the pivot is never zero
+    pivot = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    ref = np.take_along_axis(vectors, pivot, axis=-2)
+    out = vectors * (np.abs(ref) / ref)
+    # force the pivot exactly real
+    np.put_along_axis(out, pivot, np.take_along_axis(out, pivot, axis=-2).real, axis=-2)
     return out
 
 
 def eigh(mat: np.ndarray, name: str = "matrix") -> HermitianEigensystem:
-    """Eigendecompose a Hermitian matrix with the package phase convention."""
+    """Eigendecompose a Hermitian matrix, or a (..., d, d) stack of them,
+    with the package phase convention."""
     check_hermitian(mat, name)
     w, v = np.linalg.eigh(mat)
     return HermitianEigensystem(eigenvalues=w, eigenvectors=_fix_phases(v))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_hermitian, trace_distance
+from .linalg import check_hermitian
 
 EIG_CLIP = 1e-10
 
@@ -64,13 +64,9 @@ def validate_state(state: HybridState, normalized: bool = True) -> None:
     # eigvalsh can return finite values for a block holding NaN
     if not np.all(np.isfinite(state.blocks)):
         raise UnphysicalStateError("state has non-finite entries")
-    for c in range(state.num_labels):
-        check_hermitian(state.blocks[c], f"block {c}")
+    check_hermitian(state.blocks, "block")
     scale = max(state.total_trace(), 1.0)
-    low = min(
-        float(np.min(np.linalg.eigvalsh(state.blocks[c])))
-        for c in range(state.num_labels)
-    )
+    low = float(np.min(np.linalg.eigvalsh(state.blocks)))
     if not low >= -EIG_CLIP * scale:
         raise UnphysicalStateError(
             f"minimum block eigenvalue {low:.3e} below -{EIG_CLIP:.0e} * {scale:.3e}"
@@ -91,37 +87,32 @@ def quantum_marginal(state: HybridState) -> np.ndarray:
     return state.blocks.sum(axis=0)
 
 
-def _block_entropy_terms(block: np.ndarray, scale: float) -> float:
-    w = np.linalg.eigvalsh(block)
-    if not np.min(w) >= -EIG_CLIP * scale:
-        raise UnphysicalStateError(
-            f"eigenvalue {np.min(w):.3e} below the -{EIG_CLIP:.0e} clipping band"
-        )
-    w = np.clip(w, 0.0, None)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
-
-
 def entropy(state: HybridState) -> float:
     """Von Neumann entropy -Tr[Xi ln Xi] of the full hybrid state.
 
-    Block-diagonal structure makes this the sum of per-block terms; the
-    convention 0 ln 0 = 0 applies.  Eigenvalues in [-1e-10, 0] are clipped
-    to zero, anything lower is rejected.
+    Block-diagonal structure makes this the sum of per-block terms, added in
+    block order; the convention 0 ln 0 = 0 applies.  Eigenvalues in
+    [-1e-10, 0] are clipped to zero, anything lower is rejected.
     """
     scale = max(state.total_trace(), 1.0)
-    return sum(
-        _block_entropy_terms(state.blocks[c], scale) for c in range(state.num_labels)
-    )
+    w = np.linalg.eigvalsh(state.blocks)
+    low = float(np.min(w, initial=np.inf))
+    if not low >= -EIG_CLIP * scale:
+        raise UnphysicalStateError(
+            f"eigenvalue {low:.3e} below the -{EIG_CLIP:.0e} clipping band"
+        )
+    terms = np.log(w, out=np.zeros_like(w), where=w > 0.0) * w
+    return sum((-np.sum(terms, axis=1)).tolist())
 
 
 def hybrid_trace_distance(a: HybridState, b: HybridState) -> float:
-    """Trace distance between two hybrid states (sum over blocks)."""
+    """Trace distance between two hybrid states (per-block terms summed in order)."""
     if a.blocks.shape != b.blocks.shape:
         raise ValueError(f"shape mismatch {a.blocks.shape} vs {b.blocks.shape}")
-    return sum(
-        trace_distance(a.blocks[c], b.blocks[c]) for c in range(a.num_labels)
-    )
+    check_hermitian(a.blocks, "first argument")
+    check_hermitian(b.blocks, "second argument")
+    w = np.linalg.eigvalsh(a.blocks - b.blocks)
+    return sum((0.5 * np.sum(np.abs(w), axis=1)).tolist())
 
 
 @dataclass
@@ -147,8 +138,7 @@ class HybridHamiltonian:
                 f"h_bar must be ({self.num_labels}, {d}, {d}), got {self.h_bar.shape}"
             )
         check_hermitian(self.h_system, "h_system")
-        for c in range(self.num_labels):
-            check_hermitian(self.h_bar[c], f"h_bar[{c}]")
+        check_hermitian(self.h_bar, "h_bar")
 
     @property
     def num_labels(self) -> int:
@@ -166,11 +156,10 @@ class HybridHamiltonian:
         return self.energies[c] * np.eye(self.dim_s) + self.quantum_part(c)
 
     def conditionals(self) -> np.ndarray:
+        # the same sums as conditional(c), so the two agree bit for bit
         eye = np.eye(self.dim_s)
-        return (
-            self.energies[:, None, None] * eye
-            + self.h_system
-            + self.coupling * self.h_bar
+        return self.energies[:, None, None] * eye + (
+            self.h_system + self.coupling * self.h_bar
         )
 
     def mean_energy(self, state: HybridState) -> float:

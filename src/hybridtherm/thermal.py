@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianEigensystem, eigh, logsumexp, shifted_softmax
+from .linalg import eigh, logsumexp, shifted_softmax
 from .state import HybridHamiltonian, HybridState
 
 
@@ -53,12 +53,6 @@ def helmholtz(h_quantum: np.ndarray, beta: float) -> float:
     return -logsumexp(-beta * es.eigenvalues) / beta
 
 
-def _conditional_gibbs(es: HermitianEigensystem, beta: float) -> np.ndarray:
-    pops = shifted_softmax(-beta * es.eigenvalues)
-    v = es.eigenvectors
-    return (v * pops) @ v.conj().T
-
-
 def thermal_decomposition(h: HybridHamiltonian, beta: float) -> ThermalDecomposition:
     """Decompose the canonical state of h at inverse temperature beta.
 
@@ -67,16 +61,18 @@ def thermal_decomposition(h: HybridHamiltonian, beta: float) -> ThermalDecomposi
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    free = np.empty(h.num_labels)
-    log_tr = np.empty(h.num_labels)
-    conds = np.empty((h.num_labels, h.dim_s, h.dim_s), dtype=complex)
-    for c in range(h.num_labels):
-        es = eigh(h.conditional(c), f"conditional Hamiltonian {c}")
-        # w_c = Tr exp(-beta H_c) / sum_c' Tr exp(-beta H_c'), in log space
-        log_tr[c] = logsumexp(-beta * es.eigenvalues)
-        free[c] = -log_tr[c] / beta - h.energies[c]
-        # the E_c shift drops out of the normalized Gibbs block
-        conds[c] = _conditional_gibbs(es, beta)
+    es = eigh(h.conditionals(), "conditional Hamiltonian")
+    # w_c = Tr exp(-beta H_c) / sum_c' Tr exp(-beta H_c'), in log space,
+    # one max-shifted log-sum-exp per row
+    args = -beta * es.eigenvalues
+    shift = np.max(args, axis=1)
+    e = np.exp(args - shift[:, None])
+    total = np.sum(e, axis=1)
+    log_tr = shift + np.log(total)
+    free = -log_tr / beta - h.energies
+    # the E_c shift drops out of the normalized Gibbs block
+    v = es.eigenvectors
+    conds = (v * (e / total[:, None])[:, None, :]) @ v.conj().transpose(0, 2, 1)
     weights = shifted_softmax(log_tr)
     log_z = logsumexp(-beta * h.energies)
     log_z_th = logsumexp(log_tr)

@@ -458,7 +458,7 @@ class TestVerify:
 
     def test_nan_generator_writes_strict_json(self, tmp_path, capsys, monkeypatch):
         h, gen = build_tls(TlsScenario(beta=1.0, omega_a=1.0, omega_b=1.3))
-        gen._gain_matrix[0, 0] = np.nan
+        gen._multiplier[0, 0, 0] = np.nan
         monkeypatch.setattr(cli, "build_discrete", lambda scenario: (h, gen))
         out = tmp_path / "out"
         code = cli.main(
@@ -620,3 +620,52 @@ class TestSweep:
             ]
         )
         assert code == 2
+
+
+class TestNonFiniteInput:
+    # json.load accepts these tokens and the schema bounds let NaN through
+    @pytest.mark.parametrize(
+        "command, key, token",
+        [
+            ("evolve", "tls.rates.b", "NaN"),
+            ("verify", "tls.rates.b", "NaN"),
+            ("thermal", "tls.rates.b", "NaN"),
+            ("evolve", "beta", "NaN"),
+            ("evolve", "integrator.sample_dt", "NaN"),
+            ("evolve", "integrator.t_max", "Infinity"),
+        ],
+    )
+    def test_scenario_number_exits_2(self, tmp_path, capsys, command, key, token):
+        data = tls_scenario()
+        *parents, leaf = key.split(".")
+        node = data
+        for part in parents:
+            node = node[part]
+        node[leaf] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data).replace('"@"', token), encoding="utf-8")
+        code = cli.main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"error: scenario holds the non-finite number {token}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_value_exits_2(self, tmp_path, capsys):
+        code = cli.main(
+            [
+                "sweep",
+                "--scenario",
+                write_scenario(tmp_path, tls_scenario()),
+                "--out",
+                str(tmp_path / "out"),
+                "--param",
+                "tls.rates.a",
+                "--values",
+                "1.0,nan",
+            ]
+        )
+        assert code == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()

@@ -155,7 +155,7 @@ class TestFailureModes:
     def test_nan_dynamics_raise_stiff_error(self, rng):
         s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
-        gen._gain_matrix[0, 0] = np.nan
+        gen._multiplier[0, 0, 0] = np.nan
         cfg = IntegratorConfig(t_max=1.0)
         with pytest.raises(StiffIntegrationError):
             integrate(gen, random_hybrid_state(rng, 2, 2), cfg)

@@ -143,6 +143,20 @@ class TestRouteEquivalence:
                 1.0, gen.max_rate()
             )
 
+    def test_offdiagonal_norm_propagates_nan(self):
+        full = np.zeros((4, 4), dtype=complex)
+        full[0, 2] = 5.0
+        assert classical_offdiagonal_norm(full, 2) == 5.0
+        full[2, 0] = np.nan
+        assert math.isnan(classical_offdiagonal_norm(full, 2))
+
+    def test_offdiagonal_norm_ignores_diagonal_blocks(self, rng):
+        full = np.zeros((6, 6), dtype=complex)
+        full[:2, :2] = 9.0
+        full[4:, 2:4] = random_hermitian(rng, 2)
+        want = np.linalg.norm(full[4:, 2:4])
+        assert classical_offdiagonal_norm(full, 3) == pytest.approx(want, rel=1e-15)
+
     def test_apply_is_linear(self, rng):
         _, gen = random_generator(rng)
         x = random_hybrid_state(rng, gen.num_labels, gen.dim_s)
@@ -204,13 +218,13 @@ class TestBasisChange:
     def test_sigma_z_to_sigma_x_is_hadamard(self):
         s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
-        u = basis_change_unitary(gen.eigensystems[0], gen.eigensystems[1])
+        u = basis_change_unitary(gen.eigenvectors[0], gen.eigenvectors[1])
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         assert np.max(np.abs(u - hadamard)) < 1e-14
 
     def test_unitarity(self, rng):
         _, gen = random_generator(rng)
-        u = basis_change_unitary(gen.eigensystems[0], gen.eigensystems[1])
+        u = basis_change_unitary(gen.eigenvectors[0], gen.eigenvectors[1])
         assert np.max(np.abs(u @ u.conj().T - np.eye(gen.dim_s))) < 1e-13
 
 
@@ -324,7 +338,7 @@ class TestStationaryState:
     def test_nan_gain_is_not_returned(self):
         s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
-        gen._gain_matrix[0, 0] = np.nan
+        gen._multiplier[0, 0, 0] = np.nan
         with pytest.raises(RuntimeError, match="stationary residual nan"):
             stationary_state(gen)
 
@@ -380,7 +394,7 @@ class TestFaultInjection:
     def test_nan_gain_fails_verification_in_strict_json(self):
         s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
-        gen._gain_matrix[0, 0] = np.nan
+        gen._multiplier[0, 0, 0] = np.nan
         report = verification_report(gen, np.random.default_rng(3), num_states=3)
         assert not report["all_passed"]
         by_name = {c["name"]: c for c in report["checks"]}

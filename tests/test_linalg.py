@@ -3,6 +3,7 @@ import pytest
 
 from hybridtherm.linalg import (
     ExpRangeError,
+    HERMITICITY_RTOL,
     NonHermitianError,
     check_hermitian,
     eigh,
@@ -87,6 +88,23 @@ class TestEigh:
         b = eigh(m.copy())
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_stack_is_bit_equal_to_per_block_formula(self, rng, dim):
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(40)])
+        # a sigma_x block has exact magnitude ties in every column
+        stack[0] = np.eye(dim)[::-1]
+        es = eigh(stack)
+        for m, w_got, v_got in zip(stack, es.eigenvalues, es.eigenvectors):
+            w, v = np.linalg.eigh(m)
+            for k in range(dim):
+                pivot = int(np.argmax(np.abs(v[:, k])))
+                ref = v[pivot, k]
+                if ref != 0:
+                    v[:, k] *= np.abs(ref) / ref
+                v[pivot, k] = v[pivot, k].real
+            assert np.array_equal(w_got, w)
+            assert np.array_equal(v_got, v)
+
 
 class TestTraceDistance:
     def test_orthogonal_pure_states(self):
@@ -145,3 +163,24 @@ class TestCheckHermitian:
     def test_rejects_non_square(self):
         with pytest.raises(NonHermitianError):
             check_hermitian(np.zeros((2, 3)), "m")
+
+    def test_rejects_nan(self):
+        m = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(NonHermitianError):
+            check_hermitian(m, "m")
+        with pytest.raises(NonHermitianError):
+            trace_distance(m, np.eye(2))
+
+    def test_stack_keeps_each_block_tolerance(self, rng):
+        # the big block's scale must not widen the small block's tolerance
+        small = np.eye(2, dtype=complex)
+        small[0, 1] = 1e-6
+        stack = np.stack([1e8 * random_hermitian(rng, 2), small])
+        check_hermitian(stack[:1], "m")
+        with pytest.raises(NonHermitianError, match=r"m\[1\] is not Hermitian"):
+            check_hermitian(stack, "m")
+
+    def test_stack_accepts_defect_inside_each_tolerance(self, rng):
+        big = 1e8 * random_hermitian(rng, 2)
+        big[0, 1] += 0.5 * HERMITICITY_RTOL * np.max(np.abs(big))
+        check_hermitian(np.stack([big, np.eye(2)]), "m")

@@ -159,7 +159,7 @@ class TestLatticeStationary:
         b = stationary_state(gen_b)
         assert hybrid_trace_distance(a, b) < 1e-9
 
-    @pytest.mark.parametrize("half_width", [70, 150, 1000])
+    @pytest.mark.parametrize("half_width", [70, 150, 1000, 2500, 5000])
     def test_bundled_parameters_at_large_sizes(self, half_width):
         # the centre-to-edge weight ratio exp(0.15 N**2) leaves double range
         # from N = 70 on; tail weights may underflow, nothing may overflow

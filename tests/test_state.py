@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridtherm.linalg import NonHermitianError
+from hybridtherm.linalg import NonHermitianError, trace_distance
 from hybridtherm.state import (
     HybridHamiltonian,
     HybridState,
@@ -55,6 +55,23 @@ class TestHybridState:
         state = random_hybrid_state(rng, 2, 2)
         scaled = HybridState(state.blocks * 3.0)
         assert abs(scaled.normalized().total_trace() - 1.0) < 1e-12
+
+
+class TestTraceDistance:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_bit_equal_to_per_block_sum(self, rng, dim):
+        for _ in range(50):
+            a = random_hybrid_state(rng, 4, dim)
+            b = random_hybrid_state(rng, 4, dim)
+            want = sum(trace_distance(x, y) for x, y in zip(a.blocks, b.blocks))
+            assert hybrid_trace_distance(a, b) == want
+
+    def test_rejects_nan(self, rng):
+        a = random_hybrid_state(rng, 3, 2)
+        b = a.copy()
+        b.blocks[2, 0, 1] = np.nan
+        with pytest.raises(NonHermitianError):
+            hybrid_trace_distance(a, b)
 
 
 class TestEntropy:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridtherm.linalg import herm_exp
+from hybridtherm.linalg import eigh, herm_exp, logsumexp, shifted_softmax
 from hybridtherm.state import HybridHamiltonian, classical_marginal
 from hybridtherm.thermal import (
     helmholtz,
@@ -132,6 +132,24 @@ class TestConditionals:
             raw = herm_exp(h.quantum_part(c), -beta)
             want = raw / np.trace(raw).real
             assert np.max(np.abs(dec.conditionals[c] - want)) < 1e-12
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_bit_equal_to_per_block_formula(self, rng, dim):
+        h = random_hamiltonian(rng, 30, dim)
+        h.energies[0] = 800.0
+        beta = 1.7
+        dec = thermal_decomposition(h, beta)
+        log_tr = np.empty(h.num_labels)
+        for c in range(h.num_labels):
+            es = eigh(h.conditional(c))
+            log_tr[c] = logsumexp(-beta * es.eigenvalues)
+            v = es.eigenvectors
+            gibbs = (v * shifted_softmax(-beta * es.eigenvalues)) @ v.conj().T
+            assert np.array_equal(dec.conditionals[c], gibbs)
+            assert dec.free_energies[c] == -log_tr[c] / beta - h.energies[c]
+        assert np.array_equal(dec.weights, shifted_softmax(log_tr))
+        assert dec.log_z_th == logsumexp(log_tr)
 
 
 class TestPartitionFunctions:
