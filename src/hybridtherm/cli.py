@@ -216,7 +216,7 @@ def _integrator_config(scenario: dict) -> IntegratorConfig:
     opts = scenario["integrator"]
     return IntegratorConfig(
         t_max=opts["t_max"],
-        method=opts.get("method", "rk45"),
+        method=opts.get("method", "exact"),
         dt=opts.get("dt"),
         rel_tol=opts.get("rel_tol", 1e-10),
         abs_tol=opts.get("abs_tol", 1e-13),

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import IntegratorConfig, _rk4_segment, _rk45_segment
+from .evolve import (
+    ExactPropagator,
+    IntegratorConfig,
+    StiffIntegrationError,
+    _rk4_segment,
+    _rk45_segment,
+)
 
 SMOOTH_REGIME_LIMIT = 0.1
 
@@ -278,6 +284,36 @@ class FokkerPlanckEvolution:
         dcm = (+1j * self.omega - self.coh_decay) * cm
         return np.concatenate([dpp, dpm, dcp, dcm])
 
+    def population_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Population generator as directed edges (src, tgt, rate) on the
+        stacked (P+, P-) vector of 2 * points nodes.
+
+        Sites i and i+1 exchange at the flux-stencil rates, gamma times
+        D/h**2 +- a/(2h) (central) or D/h**2 plus the downwind |a|/h
+        (upwind), with a the face drift; central rates turn negative where
+        the cell Peclet number |a| h / D exceeds 2.  Each site flips + -> -
+        at gamma_down and - -> + at gamma_up.
+        """
+        m = self.x.shape[0]
+        ddh = self.diff / self.h**2
+        left = np.arange(m - 1)
+        src, tgt, rate = [], [], []
+        for which in (0, 1):
+            a = self.face_drift[which] / self.h
+            if self.drift_scheme == "central":
+                fwd, bwd = ddh + 0.5 * a, ddh - 0.5 * a
+            else:
+                fwd, bwd = ddh + np.maximum(a, 0.0), ddh - np.minimum(a, 0.0)
+            off = which * m
+            src += [off + left, off + left + 1]
+            tgt += [off + left + 1, off + left]
+            rate += [self.gamma * fwd, self.gamma * bwd]
+        site = np.arange(m)
+        src += [site, m + site]
+        tgt += [m + site, site]
+        rate += [self.gamma_down, self.gamma_up]
+        return np.concatenate(src), np.concatenate(tgt), np.concatenate(rate)
+
     def cfl_limit(self) -> float:
         """Largest stable explicit step: diffusion and advection bounds."""
         d_eff = self.gamma * self.diff
@@ -314,7 +350,18 @@ class FokkerPlanckEvolution:
                 f"{self.cfl_limit():.3g}"
             )
         sample_dt = cfg.sample_dt if cfg.sample_dt is not None else cfg.t_max / 200.0
+        m = self.x.shape[0]
+        if cfg.method == "exact":
+            src, tgt, rate = self.population_edges()
+            propagate = ExactPropagator(
+                src, tgt, rate, np.bincount(src, rate, minlength=2 * m),
+                np.concatenate(
+                    [-1j * self.omega - self.coh_decay, 1j * self.omega - self.coh_decay]
+                ),
+            )
         y = initial.pack()
+        if not np.all(np.isfinite(y)):
+            raise StiffIntegrationError(0.0, "non-finite initial state")
         times = [0.0]
         masses = [self.mass(initial)]
         lows = [self.min_conditional_eig(initial)]
@@ -325,7 +372,11 @@ class FokkerPlanckEvolution:
         t = 0.0
         while t < cfg.t_max - 1e-12 * cfg.t_max:
             t_next = min(t + sample_dt, cfg.t_max)
-            if cfg.method == "rk4":
+            if cfg.method == "exact":
+                step = min(sample_dt, cfg.t_max - t)
+                pops, cohs = propagate(y[: 2 * m].real, y[2 * m :], step)
+                y = np.concatenate([pops, cohs])
+            elif cfg.method == "rk4":
                 y = _rk4_segment(self.rhs, y, t, t_next, dt)
             else:
                 y, h_adapt = _rk45_segment(
@@ -350,20 +401,13 @@ class FokkerPlanckEvolution:
         )
 
     def population_matrix(self) -> np.ndarray:
-        """Dense linear operator on the stacked (P+, P-) vector."""
-        m = self.x.shape[0]
-        mat = np.zeros((2 * m, 2 * m))
-        basis = np.zeros(m)
-        for i in range(m):
-            basis[:] = 0.0
-            basis[i] = 1.0
-            mat[:m, i] = self.gamma * self._fp_operator(basis, 0)
-            mat[m:, m + i] = self.gamma * self._fp_operator(basis, 1)
-        idx = np.arange(m)
-        mat[idx, idx] -= self.gamma_down
-        mat[m + idx, idx] += self.gamma_down
-        mat[idx, m + idx] += self.gamma_up
-        mat[m + idx, m + idx] -= self.gamma_up
+        """Dense linear operator on the stacked (P+, P-) vector, assembled
+        from population_edges."""
+        src, tgt, rate = self.population_edges()
+        n = 2 * self.x.shape[0]
+        mat = np.zeros((n, n))
+        np.add.at(mat, (tgt, src), rate)
+        mat[np.arange(n), np.arange(n)] -= np.bincount(src, rate, minlength=n)
         return mat
 
     def stationary_populations(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,20 @@
-"""Time integration of hybrid master equations.
+"""Time propagation of hybrid master equations.
 
-Two steppers: a fixed-step classic RK4 and an adaptive embedded
-Dormand-Prince RK45.  Observables are sampled on a uniform grid; the
-convergence monitor compares states one relaxation interval apart and stops
-the run once a full window of comparisons sits below tolerance.
+In the conditional eigenbases the generator splits exactly: coherences decay
+in place with fixed complex multipliers and populations follow a classical
+rate matrix.  The default method, "exact", propagates each sample interval in
+closed form with ExactPropagator: coherences are multiplied by
+exp(multiplier * dt) and populations advance by uniformization along the
+edge list.  The steppers "rk45" (adaptive embedded Dormand-Prince) and "rk4"
+(fixed-step classic) integrate apply instead; they stay as independent
+oracles.  Observables are sampled on a uniform grid; the convergence monitor
+compares states one relaxation interval apart and stops the run once a full
+window of comparisons sits below tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -18,11 +25,12 @@ from .state import HybridState, hybrid_trace_distance
 
 
 class StiffIntegrationError(RuntimeError):
-    """Adaptive step size collapsed; the problem looks stiff."""
+    """Propagation broke down: the adaptive step size collapsed, or the
+    exact propagator or the initial state is not finite."""
 
-    def __init__(self, time: float):
+    def __init__(self, time: float, reason: str = "step size underflow"):
         self.time = time
-        super().__init__(f"step size underflow at t = {time:.6g}")
+        super().__init__(f"{reason} at t = {time:.6g}")
 
 
 class NonConvergedError(RuntimeError):
@@ -32,8 +40,8 @@ class NonConvergedError(RuntimeError):
 @dataclass
 class IntegratorConfig:
     t_max: float
-    method: str = "rk45"
-    dt: float | None = None          # fixed step; default 0.01 / max rate
+    method: str = "exact"
+    dt: float | None = None          # rk4 step; default 0.01 / max rate
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     sample_dt: float | None = None   # observable grid; default one relaxation interval
@@ -43,9 +51,12 @@ class IntegratorConfig:
     record_eigenbasis: bool = False
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.method not in ("rk4", "rk45"):
+        # a NaN interval would never end the exact propagator's weight loop
+        for name in ("t_max", "dt", "sample_dt"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.method not in ("exact", "rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -123,6 +134,101 @@ def _rk45_segment(
     return y, h
 
 
+# exp(-mean) of the first Poisson weight underflows past mean 745; longer
+# intervals are split into equal substeps below this mean
+_MAX_POISSON_MEAN = 400.0
+_POISSON_TAIL = 1e-17
+
+
+def _poisson_weights(mean: float, norm: float = 1.0) -> np.ndarray:
+    """Poisson(k; mean) for k = 0 .. K, normalized to sum to one.
+
+    K is the first index at which the bound sum_{k > K} w_k norm**k on the
+    dropped terms of sum_k w_k B**k p falls below _POISSON_TAIL * |p|_1,
+    given norm >= |B|_1.  The terms fall geometrically once
+    mean * norm < k + 1, which bounds the tail by its first term.
+    """
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
+    weights = [math.exp(-mean)]
+    term = weights[0]  # w_k * norm**k of the next candidate term
+    k = 0
+    while True:
+        k += 1
+        term *= mean * norm / k
+        ratio = mean * norm / (k + 1)
+        if ratio < 1.0 and term <= _POISSON_TAIL * (1.0 - ratio):
+            break
+        weights.append(weights[-1] * mean / k)
+    w = np.array(weights)
+    return w / w.sum()
+
+
+class ExactPropagator:
+    """exp(dt * G) for a generator that splits into a rate matrix Q on the
+    populations and fixed complex multipliers on the coherences.
+
+    Populations advance by uniformization along the edge list (Jensen 1953):
+    exp(dt Q) p = sum_k Poisson(k; Lambda dt) (I + Q / Lambda)**k p, with
+    Lambda the largest outflow, so each term is one scatter and memory stays
+    linear in the number of states.  Coherences are multiplied by
+    exp(dt * multiplier).  The weights and factors are built once per
+    distinct dt.  Negative rates (a central drift stencil past cell Peclet
+    number 2) make |I + Q / Lambda|_1 exceed one; the truncation bound
+    carries that norm, and intervals are split so that it cannot amplify
+    rounding by more than a factor e.
+    """
+
+    def __init__(self, src, tgt, rate, outflow, multiplier):
+        outflow = np.asarray(outflow, dtype=float).reshape(-1)
+        lam = float(np.max(np.abs(outflow), initial=0.0))
+        if not (
+            math.isfinite(lam)
+            and np.all(np.isfinite(rate))
+            and np.all(np.isfinite(multiplier))
+        ):
+            raise StiffIntegrationError(0.0, "non-finite exact propagator")
+        inv = 1.0 / lam if lam > 0.0 else 0.0
+        # I + Q / Lambda as one edge list: the diagonal rides as self-edges
+        n = outflow.size
+        self._src = np.concatenate([src, np.arange(n)])
+        self._tgt = np.concatenate([tgt, np.arange(n)])
+        self._hop = np.concatenate([rate * inv, 1.0 - outflow * inv])
+        self._norm = float(
+            np.max(np.bincount(self._src, np.abs(self._hop), minlength=n), initial=1.0)
+        )
+        self._lam = lam
+        self._multiplier = multiplier
+        self._plans: dict[float, tuple[int, list[float], np.ndarray]] = {}
+
+    def _plan(self, dt: float) -> tuple[int, list[float], np.ndarray]:
+        plan = self._plans.get(dt)
+        if plan is None:
+            mean = self._lam * dt
+            steps = max(
+                1,
+                math.ceil(mean / _MAX_POISSON_MEAN),
+                math.ceil(mean * (self._norm - 1.0)),
+            )
+            weights = _poisson_weights(mean / steps, self._norm).tolist()
+            plan = self._plans[dt] = (steps, weights, np.exp(dt * self._multiplier))
+        return plan
+
+    def __call__(
+        self, pops: np.ndarray, cohs: np.ndarray, dt: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Populations and coherences one interval dt later."""
+        steps, weights, factor = self._plan(dt)
+        src, tgt, hop, n = self._src, self._tgt, self._hop, pops.size
+        for _ in range(steps):
+            v = pops
+            pops = weights[0] * v
+            for w in weights[1:]:
+                v = np.bincount(tgt, hop * v[src], minlength=n)
+                pops += w * v
+        return pops, cohs * factor
+
+
 def _default_steps(gen: HybridGenerator, cfg: IntegratorConfig) -> tuple[float, float]:
     """Fixed step and sample spacing derived from the rate table."""
     max_rate = gen.max_rate()
@@ -192,7 +298,19 @@ def integrate(
             pops.append(np.einsum("cii->ci", s).real.copy())
             cohs.append(np.array([[s[c, b, a] for (a, b) in pair_list] for c in range(L)]))
 
+    if cfg.method == "exact":
+        # the operands apply reads: the diagonal of _multiplier is -outflow
+        propagate = ExactPropagator(
+            gen._src, gen._tgt, gen._rate,
+            -np.einsum("cii->ci", gen._multiplier).real, gen._multiplier,
+        )
+        v = gen.eigenvectors
+        vh = v.conj().transpose(0, 2, 1)
+        diag = np.arange(d)
+
     y = np.array(initial.blocks, dtype=complex)
+    if not np.all(np.isfinite(y)):
+        raise StiffIntegrationError(0.0, "non-finite initial state")
     record(y)
     recent: deque[np.ndarray] = deque(maxlen=stride + 1)
     recent.append(y.copy())
@@ -203,7 +321,14 @@ def integrate(
     t = 0.0
     while t < cfg.t_max - 1e-12 * cfg.t_max:
         t_next = min(t + sample_dt, cfg.t_max)
-        if cfg.method == "rk4":
+        if cfg.method == "exact":
+            s = vh @ y @ v
+            # sample_dt itself, so rounding in t adds no distinct interval
+            step = min(sample_dt, cfg.t_max - t)
+            p, s = propagate(np.einsum("cii->ci", s).real.reshape(-1), s, step)
+            s[:, diag, diag] = p.reshape(L, d)
+            y = v @ s @ vh
+        elif cfg.method == "rk4":
             y = _rk4_segment(rhs, y, t, t_next, dt)
         else:
             y, h_adapt = _rk45_segment(

@@ -121,16 +121,11 @@ class HybridGenerator:
         for pair in self.rate_pairs:
             yield from pair.directed()
 
-    def positive_rates(self) -> np.ndarray:
-        return np.array([rate for _, _, rate in self.directed_transitions()])
-
     def max_rate(self) -> float:
-        rates = self.positive_rates()
-        return float(rates.max()) if rates.size else 0.0
+        return float(self._rate.max()) if self._rate.size else 0.0
 
     def min_rate(self) -> float:
-        rates = self.positive_rates()
-        return float(rates.min()) if rates.size else 0.0
+        return float(self._rate.min()) if self._rate.size else 0.0
 
     def detailed_balance_residual(self) -> float:
         """Worst relative defect of gamma_up against the balance formula.

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridtherm import cli
+from hybridtherm import cli, evolve
 from hybridtherm.models import TlsScenario, build_tls
 from hybridtherm.state import HybridState, save_state
 
@@ -302,6 +302,29 @@ class TestEvolve:
         assert final["dim_s"] == 2
         assert final["labels"] == [0, 1]
         assert len(final["conditionals"]) == 2
+
+    def test_rk45_method_runs_the_oracle_and_agrees(self, tmp_path, monkeypatch):
+        segments = []
+        rk45 = evolve._rk45_segment
+
+        def counted(*args):
+            segments.append(args[2])
+            return rk45(*args)
+
+        monkeypatch.setattr(evolve, "_rk45_segment", counted)
+        rows = {}
+        for method in ("exact", "rk45"):
+            data = tls_scenario()
+            data["integrator"]["method"] = method
+            out = tmp_path / method
+            argv = ["evolve", "--scenario", write_scenario(tmp_path, data), "--out", str(out)]
+            assert cli.main(argv) == 0
+            assert bool(segments) == (method == "rk45")
+            lines = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
+            rows[method] = np.array([[float(v) for v in line.split(",")] for line in lines])
+        n = min(len(rows["exact"]), len(rows["rk45"]))
+        assert n > 20
+        assert np.max(np.abs(rows["exact"][:n] - rows["rk45"][:n])) <= 1e-9
 
     def test_nonconvergence_exits_3(self, tmp_path, capsys):
         data = tls_scenario(integrator={"t_max": 2.0, "sample_dt": 0.25})

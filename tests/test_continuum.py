@@ -15,7 +15,7 @@ from hybridtherm.continuum import (
     shifted_potentials,
     weight_density,
 )
-from hybridtherm.evolve import IntegratorConfig
+from hybridtherm.evolve import IntegratorConfig, StiffIntegrationError
 from hybridtherm.models import LatticeScenario
 
 
@@ -251,6 +251,52 @@ class TestFokkerPlanck:
         )
         with pytest.raises(ValueError):
             evo.integrate(evo.thermal_fields(), cfg)
+
+    @pytest.mark.parametrize("scheme", ["central", "upwind"])
+    def test_population_matrix_matches_rhs_probes(self, scheme):
+        # the edge-list matrix against the flux form, probed column by column
+        p = make_params(10.0, beta_de=0.05, beta_w0=0.4)
+        x = np.linspace(-15, 15, 121)
+        evo = FokkerPlanckEvolution(p, x, gamma=0.8, kappa_th=1.3, drift_scheme=scheme)
+        m = x.size
+        probes = np.zeros((2 * m, 2 * m))
+        for j in range(2 * m):
+            y = np.zeros(4 * m, dtype=complex)
+            y[j] = 1.0
+            probes[:, j] = evo.rhs(y)[: 2 * m].real
+        assert np.max(np.abs(evo.population_matrix() - probes)) <= 1e-14
+
+    def test_exact_matches_rk45_with_negative_central_rates(self):
+        # cell Peclet number up to 4.1 on this coarse, steep grid: central
+        # hop rates turn negative and |I + Q / Lambda|_1 = 1.42, so each
+        # interval of 20 is split into 21 substeps under the norm's bound
+        p = ContinuumParams(beta=1.0, omega_0=0.0, delta_omega=0.4, delta_e=0.1, delta_x=1.0)
+        x = np.linspace(-20, 20, 41)
+        evo = FokkerPlanckEvolution(p, x, gamma=1.0)
+        assert np.min(evo.population_edges()[2]) < 0.0
+        runs = {
+            method: evo.integrate(
+                evo.coherent_fields(),
+                IntegratorConfig(
+                    t_max=40.0, method=method, sample_dt=20.0, rel_tol=1e-12,
+                    abs_tol=1e-15, convergence_tol=0.0,
+                ),
+            )
+            for method in ("exact", "rk45")
+        }
+        a, b = runs["exact"].final, runs["rk45"].final
+        for name in ("p_plus", "p_minus", "c_plus", "c_minus"):
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-12
+        assert np.max(np.abs(runs["exact"].total_mass - 1.0)) < 1e-12
+
+    def test_non_finite_start_raises(self):
+        p = make_params(10.0)
+        evo = FokkerPlanckEvolution(p, np.linspace(-10, 10, 41), gamma=1.0)
+        f = evo.polarized_fields()
+        f.p_plus[3] = np.nan
+        for method in ("exact", "rk45"):
+            with pytest.raises(StiffIntegrationError, match="non-finite initial state"):
+                evo.integrate(f, IntegratorConfig(t_max=1.0, method=method))
 
     def test_grid_coarser_than_delta_x_rejected(self):
         p = make_params(10.0)

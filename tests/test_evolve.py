@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hybridtherm.evolve import (
+    ExactPropagator,
     IntegratorConfig,
     NonConvergedError,
     StiffIntegrationError,
+    _poisson_weights,
     converged_state,
     integrate,
     trajectory_csv,
@@ -167,6 +172,149 @@ class TestFailureModes:
             integrate(
                 gen, random_hybrid_state(rng, 3, 2), IntegratorConfig(t_max=1.0)
             )
+
+
+def random_chain(rng, n, scale):
+    """Edges (src, tgt, rate) of a random irreducible chain on n states."""
+    src = np.concatenate([np.arange(n), np.arange(n)])
+    tgt = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n - 1, n)])
+    tgt[n:] += tgt[n:] >= src[n:]  # no self-edges
+    return src, tgt, scale * rng.random(2 * n)
+
+
+def rate_matrix(src, tgt, rate, n):
+    q = np.zeros((n, n))
+    np.add.at(q, (tgt, src), rate)
+    q[np.arange(n), np.arange(n)] -= np.bincount(src, rate, minlength=n)
+    return q
+
+
+class TestExactPropagator:
+    def test_default_method_is_exact(self):
+        assert IntegratorConfig(t_max=1.0).method == "exact"
+
+    @pytest.mark.parametrize("field", ["t_max", "dt", "sample_dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_config_rejects_bad_intervals(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**{"t_max": 1.0, field: value})
+
+    def test_matches_dense_exponential(self, rng):
+        n = 7
+        src, tgt, rate = random_chain(rng, n, 3.0)
+        outflow = np.bincount(src, rate, minlength=n)
+        mult = -rng.random(n) - 1j * rng.normal(size=n)
+        prop = ExactPropagator(src, tgt, rate, outflow, mult)
+        p = rng.random(n)
+        p /= p.sum()
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for dt in (0.3, 2.0, 0.3):
+            got_p, got_c = prop(p, c, dt)
+            want = expm(dt * rate_matrix(src, tgt, rate, n)) @ p
+            assert np.max(np.abs(got_p - want)) < 1e-14
+            assert np.array_equal(got_c, c * np.exp(dt * mult))
+        # one plan per distinct interval
+        assert sorted(prop._plans) == [0.3, 2.0]
+
+    def test_integrate_builds_at_most_two_plans(self, rng, monkeypatch):
+        # 0.3 is not dyadic: t + 0.3 - t wanders in its last bits, but only
+        # the full interval and the shorter last one get weights
+        intervals = set()
+        plan = ExactPropagator._plan
+
+        def spy(self, dt):
+            intervals.add(dt)
+            return plan(self, dt)
+
+        monkeypatch.setattr(ExactPropagator, "_plan", spy)
+        _, gen = build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))
+        cfg = IntegratorConfig(t_max=31.0, sample_dt=0.3, convergence_tol=0.0)
+        integrate(gen, random_hybrid_state(rng, 2, 2), cfg)
+        assert len(intervals) == 2 and 0.3 in intervals
+
+    def test_interval_past_weight_underflow(self, rng):
+        # Lambda * dt = 3000: exp(-3000) is 0, so one unsplit Poisson series
+        # would have all-zero weights; the interval is split instead
+        n = 6
+        src, tgt, rate = random_chain(rng, n, 1.0)
+        rate[np.argmax(rate)] = 300.0
+        outflow = np.bincount(src, rate, minlength=n)
+        dt = 3000.0 / outflow.max()
+        assert math.exp(-outflow.max() * dt) == 0.0
+        prop = ExactPropagator(src, tgt, rate, outflow, np.zeros(n))
+        p = np.full(n, 1.0 / n)
+        got, _ = prop(p, np.zeros(n), dt)
+        want = expm(dt * rate_matrix(src, tgt, rate, n)) @ p
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert abs(got.sum() - 1.0) < 1e-13
+
+    def test_poisson_weights(self):
+        for mean in (0.0, 0.5, 30.0, 400.0):
+            w = _poisson_weights(mean)
+            assert abs(w.sum() - 1.0) < 1e-15
+            assert np.all(w >= 0.0)
+            # the dropped tail is below the tolerance: the last kept weight
+            # sits past the mean
+            assert w.size - 1 >= mean
+        assert _poisson_weights(0.0).tolist() == [1.0]
+        with pytest.raises(ValueError):
+            _poisson_weights(np.nan)
+        # a norm above one keeps more terms
+        assert _poisson_weights(5.0, 1.4).size > _poisson_weights(5.0).size
+
+    def test_non_finite_propagator_is_named(self, rng):
+        s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)
+        _, gen = build_tls(s)
+        gen._multiplier[0, 0, 0] = np.nan
+        with pytest.raises(StiffIntegrationError, match="non-finite exact propagator"):
+            integrate(gen, random_hybrid_state(rng, 2, 2), IntegratorConfig(t_max=1.0))
+        start = random_hybrid_state(rng, 2, 2)
+        start.blocks[1, 0, 1] = np.inf
+        _, gen = build_tls(s)
+        for method in ("exact", "rk45"):
+            with pytest.raises(StiffIntegrationError, match="non-finite initial state"):
+                integrate(gen, start, IntegratorConfig(t_max=1.0, method=method))
+        src, tgt, rate = random_chain(rng, 4, 1.0)
+        rate[0] = np.inf
+        with pytest.raises(StiffIntegrationError, match="non-finite exact propagator"):
+            ExactPropagator(src, tgt, rate, np.bincount(src, rate, minlength=4), np.zeros(4))
+
+    def test_rk_oracles_agree(self, rng):
+        # test_rk4_matches_rk45 runs the default method, now exact, against
+        # rk4; the two RK oracles are also held to each other
+        _, gen = build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))
+        start = random_hybrid_state(rng, 2, 2)
+        finals = [
+            integrate(
+                gen, start,
+                IntegratorConfig(t_max=5.0, method=method, dt=0.002, sample_dt=1.0,
+                                 convergence_tol=0.0),
+            ).final_state
+            for method in ("rk45", "rk4")
+        ]
+        assert hybrid_trace_distance(*finals) < 1e-8
+
+    def test_matches_rk45_sample_by_sample(self, rng):
+        s = LatticeScenario(beta=1.0, half_width=9, omega_0=1.0, delta_omega=0.5, delta_e=0.5)
+        h, gen = build_lattice(s)
+        start = random_hybrid_state(rng, h.num_labels, h.dim_s)
+        runs = {
+            method: integrate(
+                gen,
+                start,
+                IntegratorConfig(
+                    t_max=20.0, method=method, sample_dt=1.0, rel_tol=1e-12,
+                    abs_tol=1e-15, convergence_tol=0.0, record_eigenbasis=True,
+                ),
+            )
+            for method in ("exact", "rk45")
+        }
+        a, b = runs["exact"], runs["rk45"]
+        assert np.array_equal(a.times, b.times)
+        assert np.max(np.abs(a.eig_populations - b.eig_populations)) < 1e-10
+        assert np.max(np.abs(a.eig_coherences - b.eig_coherences)) < 1e-10
+        assert hybrid_trace_distance(a.final_state, b.final_state) < 1e-10
 
 
 class TestTrajectoryCsv:

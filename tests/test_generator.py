@@ -110,6 +110,22 @@ class TestDetailedBalance:
             _, gen = random_generator(rng)
             assert gen.detailed_balance_residual() <= 1e-15
 
+    def test_rate_extremes_match_directed_transitions(self, rng):
+        gens = [random_generator(rng)[1] for _ in range(5)]
+        gens.append(build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))[1])
+        for gen in gens:
+            rates = [rate for _, _, rate in gen.directed_transitions()]
+            assert gen.max_rate() == max(rates)
+            assert gen.min_rate() == min(rates)
+        bare = HybridHamiltonian(
+            energies=np.zeros(2),
+            h_system=np.zeros((2, 2), dtype=complex),
+            coupling=0.0,
+            h_bar=np.zeros((2, 2, 2), dtype=complex),
+        )
+        empty = build_generator(bare, [], 1.0)
+        assert empty.max_rate() == 0.0 and empty.min_rate() == 0.0
+
 
 class TestRouteEquivalence:
     def test_apply_matches_collisional(self, rng):
