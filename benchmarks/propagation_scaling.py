@@ -48,7 +48,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SCENARIOS = ("tls", "lattice", "fokker_planck")
 
 CHILD = r"""
-import json, resource, sys, time, warnings
+import inspect, json, resource, sys, time, warnings
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from hybridtherm import evolve
@@ -58,6 +58,11 @@ from hybridtherm.state import HybridState
 kind, size, samples = sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
 scenario = json.load(open(sys.argv[2]))
 exact = getattr(evolve, "ExactPropagator", None)
+def propagator(src, tgt, rate, n, multiplier):
+    # older checkouts take the outflow of every state in place of n
+    if "outflow" in inspect.signature(exact).parameters:
+        n = np.bincount(src, rate, minlength=n)
+    return exact(src, tgt, rate, n, multiplier)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     if kind == "lattice":
@@ -70,8 +75,7 @@ with warnings.catch_warnings():
         run = lambda: evolve.integrate(gen, start, cfg)
         n = L * d
         if exact:
-            outflow = -np.einsum("cii->ci", gen._multiplier).real
-            prop = exact(gen._src, gen._tgt, gen._rate, outflow, gen._multiplier)
+            prop = propagator(gen._src, gen._tgt, gen._rate, n, gen._multiplier)
     else:
         fp = scenario["fokker_planck"]
         p = ContinuumParams(beta=scenario["beta"], omega_0=fp["omega_0"],
@@ -87,7 +91,7 @@ with warnings.catch_warnings():
         n = 2 * size
         if exact:
             src, tgt, rate = evo.population_edges()
-            prop = exact(src, tgt, rate, np.bincount(src, rate, minlength=n), np.zeros(n))
+            prop = propagator(src, tgt, rate, n, np.zeros(n))
     t0 = time.perf_counter()
     run()
     seconds = time.perf_counter() - t0

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 integration
 did not converge (or went stiff).  Output files are byte-stable for a
-fixed scenario and seed; --threads only sizes the sweep worker pool.
+fixed scenario and seed.  sweep runs its points in order; its --threads
+option is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import copy
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -213,18 +213,8 @@ def build_continuum(scenario: dict):
 def _integrator_config(scenario: dict) -> IntegratorConfig:
     if "integrator" not in scenario:
         raise InputError("evolve needs an 'integrator' block in the scenario")
-    opts = scenario["integrator"]
-    return IntegratorConfig(
-        t_max=opts["t_max"],
-        method=opts.get("method", "exact"),
-        dt=opts.get("dt"),
-        rel_tol=opts.get("rel_tol", 1e-10),
-        abs_tol=opts.get("abs_tol", 1e-13),
-        sample_dt=opts.get("sample_dt"),
-        convergence_tol=opts.get("convergence_tol", 1e-9),
-        convergence_window=opts.get("convergence_window", 5),
-        record_eigenbasis=opts.get("record_eigenbasis", False),
-    )
+    # the schema admits exactly the IntegratorConfig fields
+    return IntegratorConfig(**scenario["integrator"])
 
 
 def _initial_discrete(scenario, h, gen, beta, rng) -> HybridState:
@@ -488,8 +478,7 @@ def cmd_sweep(args) -> int:
         _validate_scenario(modified)
         points.append((i, value, modified))
 
-    def run_point(point):
-        i, value, modified = point
+    def run_point(i, value, modified):
         sub = argparse.Namespace(
             out=str(Path(args.out) / f"point_{i:02d}"),
             seed=args.seed,
@@ -499,9 +488,9 @@ def cmd_sweep(args) -> int:
                 code = _evolve_continuum(sub, modified)
             else:
                 code = _evolve_discrete(sub, modified)
-        except (NonConvergedError, StiffIntegrationError) as err:
-            return {"index": i, "value": value, "ok": False, "error": str(err)}
-        except DegenerateStationaryError as err:
+        except (
+            NonConvergedError, StiffIntegrationError, DegenerateStationaryError
+        ) as err:
             return {"index": i, "value": value, "ok": False, "error": str(err)}
         if code != 0:
             return {
@@ -512,9 +501,7 @@ def cmd_sweep(args) -> int:
             }
         return {"index": i, "value": value, "ok": True, "error": None}
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(run_point, points))
-    results.sort(key=lambda r: r["index"])
+    results = [run_point(*point) for point in points]
     _write(
         Path(args.out) / "sweep.json",
         _json_text({"param": args.param, "points": results}),
@@ -564,7 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--param", required=True, help="dotted path, e.g. lattice.kappa_th")
     p.add_argument("--values", required=True, help="comma list of values")
-    p.add_argument("--threads", type=int, default=1, help="sweep worker threads")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored: the points run in order",
+    )
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -6,6 +6,11 @@ splitting growth it splits into two lobes.  The corresponding dynamics is a
 pair of drift-diffusion equations for the eigenstate-resolved position
 densities, coupled by local thermal flips, plus decoupled decaying
 coherence fields.
+
+The fields split like the discrete generators: the populations are an edge
+list and the coherences decay by fixed multipliers.  So
+FokkerPlanckEvolution.integrate runs the one sample loop of
+evolve.run_samples, and a run stops on its shared convergence monitor.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import (
-    ExactPropagator,
-    IntegratorConfig,
-    StiffIntegrationError,
-    _rk4_segment,
-    _rk45_segment,
-)
+from .evolve import ExactPropagator, IntegratorConfig, run_samples
 
 SMOOTH_REGIME_LIMIT = 0.1
 
@@ -177,14 +176,8 @@ class FieldState:
     c_minus: np.ndarray
 
     def pack(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.p_plus.astype(complex),
-                self.p_minus.astype(complex),
-                self.c_plus.astype(complex),
-                self.c_minus.astype(complex),
-            ]
-        )
+        fields = (self.p_plus, self.p_minus, self.c_plus, self.c_minus)
+        return np.concatenate(fields, dtype=complex)
 
     @classmethod
     def unpack(cls, y: np.ndarray) -> "FieldState":
@@ -203,8 +196,11 @@ class FieldTrajectory:
     total_mass: np.ndarray
     min_conditional_eig: np.ndarray
     final: FieldState
+    # the shared monitor fired: a run whose population change drops below
+    # tolerance only in its last few (< convergence_window) samples is False
     converged: bool
-    # integrated |change| of the populations over the last sample interval
+    # integrated |change| of the populations over the last sample interval,
+    # the monitor's last gap
     last_population_change: float = 0.0
 
 
@@ -343,6 +339,9 @@ class FokkerPlanckEvolution:
     def integrate(
         self, initial: FieldState, cfg: IntegratorConfig
     ) -> FieldTrajectory:
+        """Evolve the fields by evolve.run_samples.  The monitor's gap is the
+        integrated population change over one sample interval,
+        h * sum |P(t) - P(t - sample_dt)|."""
         dt = cfg.dt if cfg.dt is not None else 0.5 * self.cfl_limit()
         if cfg.method == "rk4" and dt > self.cfl_limit():
             raise ValueError(
@@ -351,46 +350,31 @@ class FokkerPlanckEvolution:
             )
         sample_dt = cfg.sample_dt if cfg.sample_dt is not None else cfg.t_max / 200.0
         m = self.x.shape[0]
-        if cfg.method == "exact":
-            src, tgt, rate = self.population_edges()
-            propagate = ExactPropagator(
-                src, tgt, rate, np.bincount(src, rate, minlength=2 * m),
-                np.concatenate(
-                    [-1j * self.omega - self.coh_decay, 1j * self.omega - self.coh_decay]
-                ),
-            )
-        y = initial.pack()
-        if not np.all(np.isfinite(y)):
-            raise StiffIntegrationError(0.0, "non-finite initial state")
-        times = [0.0]
-        masses = [self.mass(initial)]
-        lows = [self.min_conditional_eig(initial)]
-        prev_pops = np.concatenate([initial.p_plus, initial.p_minus])
-        converged = False
-        change = 0.0
-        h_adapt = dt
-        t = 0.0
-        while t < cfg.t_max - 1e-12 * cfg.t_max:
-            t_next = min(t + sample_dt, cfg.t_max)
-            if cfg.method == "exact":
-                step = min(sample_dt, cfg.t_max - t)
-                pops, cohs = propagate(y[: 2 * m].real, y[2 * m :], step)
-                y = np.concatenate([pops, cohs])
-            elif cfg.method == "rk4":
-                y = _rk4_segment(self.rhs, y, t, t_next, dt)
-            else:
-                y, h_adapt = _rk45_segment(
-                    self.rhs, y, t, t_next, h_adapt, cfg.rel_tol, cfg.abs_tol
-                )
-            t = t_next
+        masses: list[float] = []
+        lows: list[float] = []
+
+        def record(y: np.ndarray) -> None:
             fields = FieldState.unpack(y)
-            times.append(t)
             masses.append(self.mass(fields))
             lows.append(self.min_conditional_eig(fields))
-            pops = np.concatenate([fields.p_plus, fields.p_minus])
-            change = float(np.sum(np.abs(pops - prev_pops)) * self.h)
-            converged = change < cfg.convergence_tol
-            prev_pops = pops
+
+        propagate = ExactPropagator(
+            *self.population_edges(), 2 * m,
+            np.concatenate(
+                [-1j * self.omega - self.coh_decay, 1j * self.omega - self.coh_decay]
+            ),
+        )
+
+        def exact(y: np.ndarray, interval: float) -> np.ndarray:
+            return np.concatenate(propagate(y[: 2 * m].real, y[2 * m :], interval))
+
+        def gap(new: np.ndarray, old: np.ndarray) -> float:
+            return float(np.sum(np.abs(new[: 2 * m].real - old[: 2 * m].real)) * self.h)
+
+        y, times, converged, change = run_samples(
+            initial.pack(), cfg, exact=exact, rhs=self.rhs, dt=dt,
+            sample_dt=sample_dt, stride=1, gap=gap, record=record,
+        )
         return FieldTrajectory(
             times=np.array(times),
             total_mass=np.array(masses),

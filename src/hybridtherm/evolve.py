@@ -7,9 +7,13 @@ closed form with ExactPropagator: coherences are multiplied by
 exp(multiplier * dt) and populations advance by uniformization along the
 edge list.  The steppers "rk45" (adaptive embedded Dormand-Prince) and "rk4"
 (fixed-step classic) integrate apply instead; they stay as independent
-oracles.  Observables are sampled on a uniform grid; the convergence monitor
-compares states one relaxation interval apart and stops the run once a full
-window of comparisons sits below tolerance.
+oracles.
+
+run_samples is the one sample loop of both model families, the discrete
+generators here and the Fokker-Planck fields in continuum.  Its convergence
+monitor compares states a family-chosen stride of samples apart and stops
+the run once a full window of gaps sits below tolerance; integrate compares
+states one relaxation interval apart by trace distance.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -168,7 +171,9 @@ class ExactPropagator:
     """exp(dt * G) for a generator that splits into a rate matrix Q on the
     populations and fixed complex multipliers on the coherences.
 
-    Populations advance by uniformization along the edge list (Jensen 1953):
+    Q is given as directed edges (src, tgt, rate) over n states, and the
+    outflow of each state is summed from its edges.  Populations advance by
+    uniformization along the edge list (Jensen 1953):
     exp(dt Q) p = sum_k Poisson(k; Lambda dt) (I + Q / Lambda)**k p, with
     Lambda the largest outflow, so each term is one scatter and memory stays
     linear in the number of states.  Coherences are multiplied by
@@ -179,8 +184,8 @@ class ExactPropagator:
     rounding by more than a factor e.
     """
 
-    def __init__(self, src, tgt, rate, outflow, multiplier):
-        outflow = np.asarray(outflow, dtype=float).reshape(-1)
+    def __init__(self, src, tgt, rate, n, multiplier):
+        outflow = np.bincount(src, rate, minlength=n)
         lam = float(np.max(np.abs(outflow), initial=0.0))
         if not (
             math.isfinite(lam)
@@ -190,7 +195,6 @@ class ExactPropagator:
             raise StiffIntegrationError(0.0, "non-finite exact propagator")
         inv = 1.0 / lam if lam > 0.0 else 0.0
         # I + Q / Lambda as one edge list: the diagonal rides as self-edges
-        n = outflow.size
         self._src = np.concatenate([src, np.arange(n)])
         self._tgt = np.concatenate([tgt, np.arange(n)])
         self._hop = np.concatenate([rate * inv, 1.0 - outflow * inv])
@@ -254,6 +258,55 @@ def _entropy_clipped(blocks: np.ndarray) -> tuple[float, float]:
     return float(-np.sum(w * np.log(w))), low
 
 
+def run_samples(
+    y: np.ndarray, cfg: IntegratorConfig, *, exact, rhs, dt: float,
+    sample_dt: float, stride: int, gap, record,
+) -> tuple[np.ndarray, list[float], bool, float]:
+    """The sample loop of both model families.
+
+    Steps the packed state y from t = 0 to cfg.t_max on a uniform grid of
+    spacing sample_dt, by the family's closed-form exact(y, interval), or by
+    RK4 (fixed step dt) or RK45 (first trial step dt) on rhs.  record(y)
+    sees every sample, the start included.  The monitor compares each sample
+    with the one stride samples earlier by gap(new, old) and stops the run
+    once cfg.convergence_window consecutive gaps fall below
+    cfg.convergence_tol.
+
+    Returns (final state, sample times, whether the monitor fired, the last
+    gap, inf before the first comparison).
+    """
+    if not np.all(np.isfinite(y)):
+        raise StiffIntegrationError(0.0, "non-finite initial state")
+    record(y)
+    times = [0.0]
+    recent: deque[np.ndarray] = deque([y], maxlen=stride + 1)
+    last_gap = math.inf
+    passes = 0
+    h_adapt = dt
+    t = 0.0
+    while t < cfg.t_max - 1e-12 * cfg.t_max:
+        t_next = min(t + sample_dt, cfg.t_max)
+        if cfg.method == "exact":
+            # sample_dt itself, so rounding in t adds no distinct interval
+            y = exact(y, min(sample_dt, cfg.t_max - t))
+        elif cfg.method == "rk4":
+            y = _rk4_segment(rhs, y, t, t_next, dt)
+        else:
+            y, h_adapt = _rk45_segment(
+                rhs, y, t, t_next, h_adapt, cfg.rel_tol, cfg.abs_tol
+            )
+        t = t_next
+        times.append(t)
+        record(y)
+        recent.append(y)
+        if len(recent) == stride + 1:
+            last_gap = gap(recent[-1], recent[0])
+            passes = passes + 1 if last_gap < cfg.convergence_tol else 0
+            if passes >= cfg.convergence_window:
+                return y, times, True, last_gap
+    return y, times, False, last_gap
+
+
 def integrate(
     gen: HybridGenerator,
     initial: HybridState,
@@ -273,12 +326,10 @@ def integrate(
     stride_t = min(stride_t, cfg.t_max / (cfg.convergence_window + 2.0))
     stride = max(1, round(stride_t / sample_dt))
 
-    def rhs(arr: np.ndarray) -> np.ndarray:
-        return apply(gen, HybridState(arr)).blocks
-
     L, d = gen.num_labels, gen.dim_s
+    v = gen.eigenvectors
+    vh = v.conj().transpose(0, 2, 1)
     pair_list = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    times = [0.0]
     records: dict[str, list] = {k: [] for k in ("trace", "entropy", "classical", "low")}
     dists: list[float] = []
     pops: list[np.ndarray] = []
@@ -293,61 +344,29 @@ def integrate(
         if target is not None:
             dists.append(hybrid_trace_distance(HybridState(arr), target))
         if cfg.record_eigenbasis:
-            v = gen.eigenvectors
-            s = v.conj().transpose(0, 2, 1) @ arr @ v
+            s = vh @ arr @ v
             pops.append(np.einsum("cii->ci", s).real.copy())
             cohs.append(np.array([[s[c, b, a] for (a, b) in pair_list] for c in range(L)]))
 
-    if cfg.method == "exact":
-        # the operands apply reads: the diagonal of _multiplier is -outflow
-        propagate = ExactPropagator(
-            gen._src, gen._tgt, gen._rate,
-            -np.einsum("cii->ci", gen._multiplier).real, gen._multiplier,
-        )
-        v = gen.eigenvectors
-        vh = v.conj().transpose(0, 2, 1)
-        diag = np.arange(d)
+    propagate = ExactPropagator(gen._src, gen._tgt, gen._rate, L * d, gen._multiplier)
+    diag = np.arange(d)
 
-    y = np.array(initial.blocks, dtype=complex)
-    if not np.all(np.isfinite(y)):
-        raise StiffIntegrationError(0.0, "non-finite initial state")
-    record(y)
-    recent: deque[np.ndarray] = deque(maxlen=stride + 1)
-    recent.append(y.copy())
-    converged = False
-    converged_time = None
-    passes = 0
-    h_adapt = dt
-    t = 0.0
-    while t < cfg.t_max - 1e-12 * cfg.t_max:
-        t_next = min(t + sample_dt, cfg.t_max)
-        if cfg.method == "exact":
-            s = vh @ y @ v
-            # sample_dt itself, so rounding in t adds no distinct interval
-            step = min(sample_dt, cfg.t_max - t)
-            p, s = propagate(np.einsum("cii->ci", s).real.reshape(-1), s, step)
-            s[:, diag, diag] = p.reshape(L, d)
-            y = v @ s @ vh
-        elif cfg.method == "rk4":
-            y = _rk4_segment(rhs, y, t, t_next, dt)
-        else:
-            y, h_adapt = _rk45_segment(
-                rhs, y, t, t_next, h_adapt, cfg.rel_tol, cfg.abs_tol
-            )
-        t = t_next
-        times.append(t)
-        record(y)
-        recent.append(y.copy())
-        if len(recent) == stride + 1:
-            gap = hybrid_trace_distance(
-                HybridState(recent[-1]), HybridState(recent[0])
-            )
-            passes = passes + 1 if gap < cfg.convergence_tol else 0
-            if passes >= cfg.convergence_window:
-                converged = True
-                converged_time = t
-                break
+    def exact(y: np.ndarray, interval: float) -> np.ndarray:
+        s = vh @ y @ v
+        p, s = propagate(np.einsum("cii->ci", s).real.reshape(-1), s, interval)
+        s[:, diag, diag] = p.reshape(L, d)
+        return v @ s @ vh
 
+    def rhs(arr: np.ndarray) -> np.ndarray:
+        return apply(gen, HybridState(arr)).blocks
+
+    def gap(new: np.ndarray, old: np.ndarray) -> float:
+        return hybrid_trace_distance(HybridState(new), HybridState(old))
+
+    y, times, converged, _ = run_samples(
+        np.array(initial.blocks, dtype=complex), cfg, exact=exact, rhs=rhs,
+        dt=dt, sample_dt=sample_dt, stride=stride, gap=gap, record=record,
+    )
     return Trajectory(
         times=np.array(times),
         total_trace=np.array(records["trace"]),
@@ -357,7 +376,7 @@ def integrate(
         dist_to_target=np.array(dists) if target is not None else None,
         final_state=HybridState(y),
         converged=converged,
-        converged_time=converged_time,
+        converged_time=times[-1] if converged else None,
         eig_populations=np.array(pops) if cfg.record_eigenbasis else None,
         eig_coherences=np.array(cohs) if cfg.record_eigenbasis else None,
         coherence_pairs=pair_list if cfg.record_eigenbasis else [],

@@ -1,7 +1,11 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hybridtherm import cli
 from hybridtherm.continuum import (
     ContinuumParams,
     FieldState,
@@ -17,6 +21,9 @@ from hybridtherm.continuum import (
 )
 from hybridtherm.evolve import IntegratorConfig, StiffIntegrationError
 from hybridtherm.models import LatticeScenario
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_params(ratio, beta_de=0.01, beta_w0=0.0):
@@ -288,6 +295,30 @@ class TestFokkerPlanck:
         for name in ("p_plus", "p_minus", "c_plus", "c_minus"):
             assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-12
         assert np.max(np.abs(runs["exact"].total_mass - 1.0)) < 1e-12
+
+    def test_bundled_run_stops_on_shared_monitor(self):
+        # the per-sample population change first drops below 1e-9 at sample
+        # 528; a window of five such samples ends the run at sample 532
+        scenario = cli.load_scenario(str(SCENARIOS / "fokker_planck.json"))
+        _, evo = cli.build_continuum(scenario)
+        cfg = IntegratorConfig(**scenario["integrator"])
+        start = evo.polarized_fields()
+        traj = evo.integrate(start, cfg)
+        full = evo.integrate(start, dataclasses.replace(cfg, convergence_tol=0.0))
+        assert traj.converged and not full.converged
+        assert traj.times[-1] == 1064.0 and full.times[-1] == cfg.t_max
+        assert traj.last_population_change < cfg.convergence_tol
+        k = traj.times.size
+        assert np.array_equal(traj.total_mass, full.total_mass[:k])
+        assert np.array_equal(traj.min_conditional_eig, full.min_conditional_eig[:k])
+        # the unstopped run's fields at t = 1064
+        at_stop = evo.integrate(
+            start, dataclasses.replace(cfg, t_max=1064.0, convergence_tol=0.0)
+        )
+        assert np.array_equal(at_stop.total_mass, full.total_mass[:k])
+        for name in ("p_plus", "p_minus", "c_plus", "c_minus"):
+            got, want = getattr(traj.final, name), getattr(at_stop.final, name)
+            assert np.max(np.abs(got - want)) < 1e-9
 
     def test_non_finite_start_raises(self):
         p = make_params(10.0)

@@ -204,7 +204,7 @@ class TestExactPropagator:
         src, tgt, rate = random_chain(rng, n, 3.0)
         outflow = np.bincount(src, rate, minlength=n)
         mult = -rng.random(n) - 1j * rng.normal(size=n)
-        prop = ExactPropagator(src, tgt, rate, outflow, mult)
+        prop = ExactPropagator(src, tgt, rate, n, mult)
         p = rng.random(n)
         p /= p.sum()
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -241,7 +241,7 @@ class TestExactPropagator:
         outflow = np.bincount(src, rate, minlength=n)
         dt = 3000.0 / outflow.max()
         assert math.exp(-outflow.max() * dt) == 0.0
-        prop = ExactPropagator(src, tgt, rate, outflow, np.zeros(n))
+        prop = ExactPropagator(src, tgt, rate, n, np.zeros(n))
         p = np.full(n, 1.0 / n)
         got, _ = prop(p, np.zeros(n), dt)
         want = expm(dt * rate_matrix(src, tgt, rate, n)) @ p
@@ -278,7 +278,7 @@ class TestExactPropagator:
         src, tgt, rate = random_chain(rng, 4, 1.0)
         rate[0] = np.inf
         with pytest.raises(StiffIntegrationError, match="non-finite exact propagator"):
-            ExactPropagator(src, tgt, rate, np.bincount(src, rate, minlength=4), np.zeros(4))
+            ExactPropagator(src, tgt, rate, 4, np.zeros(4))
 
     def test_rk_oracles_agree(self, rng):
         # test_rk4_matches_rk45 runs the default method, now exact, against
