@@ -9,12 +9,15 @@ threads fixed at one, so its peak RSS belongs to that size alone; checkouts
 alternate within every pair so drift in machine speed hits them alike.  On
 the bundled parameters (scenarios/lattice.json) each process builds the
 lattice --repeats times (build_lattice), applies the generator to the
-thermal state 10 * --repeats times (apply) and calls stationary_state
---repeats times; it reports the median call of each, whether the
-stationary marginal matched the closed-form weights to 1e-8, and its peak
-RSS.  The JSON holds, per checkout and L, the median and quartiles of those
-per-process figures, and the machine, Python, numpy and BLAS-thread
-settings.
+thermal state 10 * --repeats times (apply), calls stationary_state
+--repeats times, evaluates the operator-form oracle on one seeded random
+state 10 * --repeats times (collisional_apply) and runs the invariant
+suite behind `hybridtherm verify` --repeats times (verification_report,
+20 random states, seed 0); it reports the median call of each, whether the
+stationary marginal matched the closed-form weights to 1e-8 and every
+verify check passed, and its peak RSS.  The JSON holds, per checkout and
+L, the median and quartiles of those per-process figures, and the machine,
+Python, numpy and BLAS-thread settings.
 """
 
 from __future__ import annotations
@@ -31,16 +34,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-TIMED = ("build_lattice_s", "apply_s", "stationary_s", "peak_rss_mb")
+TIMED = (
+    "build_lattice_s", "apply_s", "stationary_s", "collisional_apply_s", "verify_s",
+    "peak_rss_mb",
+)
 
 CHILD = r"""
 import json, resource, statistics, sys, time, warnings
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from hybridtherm.generator import apply, stationary_state
+from hybridtherm.generator import apply, collisional_apply, stationary_state
 from hybridtherm.models import LatticeScenario, build_lattice, lattice_weights
 from hybridtherm.state import classical_marginal
 from hybridtherm.thermal import hybrid_thermal
+from hybridtherm.verify import random_hybrid_state, verification_report
 lattice = json.load(open(sys.argv[2]))["lattice"]
 half, repeats = int(sys.argv[3]), int(sys.argv[4])
 s = LatticeScenario(beta=1.0, **{**lattice, "half_width": half})
@@ -65,9 +72,14 @@ with warnings.catch_warnings():
     thermal = hybrid_thermal(h, s.beta)
     apply_s, _ = timed(lambda: apply(gen, thermal), 10 * repeats)
     stationary_s, got = timed(marginal, repeats)
+    probe = random_hybrid_state(np.random.default_rng(0), h.num_labels, h.dim_s)
+    collisional_s, _ = timed(lambda: collisional_apply(gen, probe), 10 * repeats)
+    verify_s, report = timed(
+        lambda: verification_report(gen, np.random.default_rng(0)), repeats
+    )
 want = lattice_weights(s, half)
 normal = want > 1e-300
-ok = got is not None and bool(
+ok = report["all_passed"] and got is not None and bool(
     np.max(np.abs(got[normal] - want[normal]) / want[normal]) < 1e-8
 )
 print(json.dumps({
@@ -75,6 +87,8 @@ print(json.dumps({
     "build_lattice_s": build_s,
     "apply_s": apply_s,
     "stationary_s": stationary_s,
+    "collisional_apply_s": collisional_s,
+    "verify_s": verify_s,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "correct": ok,
 }))
@@ -143,9 +157,11 @@ def main(argv=None) -> int:
         "method": (
             f"{args.pairs} alternating fresh processes per checkout and size; each "
             f"reports the median of {args.repeats} build_lattice calls, "
-            f"{10 * args.repeats} apply calls on the thermal state and "
-            f"{args.repeats} stationary_state calls, and its peak RSS; figures are "
-            "the median and quartiles over processes"
+            f"{10 * args.repeats} apply calls on the thermal state, "
+            f"{args.repeats} stationary_state calls, {10 * args.repeats} "
+            f"collisional_apply calls on one random state and {args.repeats} "
+            "verification_report calls (20 states, seed 0), and its peak RSS; "
+            "figures are the median and quartiles over processes"
         ),
         "half_widths": half_widths,
         "machine": {

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import HybridGenerator, apply
-from .state import HybridState, hybrid_trace_distance
+from .linalg import check_hermitian
+from .state import HybridState, block_trace_distance
 
 
 class StiffIntegrationError(RuntimeError):
     """Propagation broke down: the adaptive step size collapsed, or the
-    exact propagator or the initial state is not finite."""
+    exact propagator, the initial state or a sample is not finite."""
 
     def __init__(self, time: float, reason: str = "step size underflow"):
         self.time = time
@@ -270,7 +271,7 @@ def run_samples(
     sees every sample, the start included.  The monitor compares each sample
     with the one stride samples earlier by gap(new, old) and stops the run
     once cfg.convergence_window consecutive gaps fall below
-    cfg.convergence_tol.
+    cfg.convergence_tol.  A non-finite sample raises StiffIntegrationError.
 
     Returns (final state, sample times, whether the monitor fired, the last
     gap, inf before the first comparison).
@@ -296,6 +297,8 @@ def run_samples(
                 rhs, y, t, t_next, h_adapt, cfg.rel_tol, cfg.abs_tol
             )
         t = t_next
+        if not np.all(np.isfinite(y)):
+            raise StiffIntegrationError(t, "non-finite sample")
         times.append(t)
         record(y)
         recent.append(y)
@@ -320,6 +323,13 @@ def integrate(
     """
     if initial.num_labels != gen.num_labels or initial.dim_s != gen.dim_s:
         raise ValueError("initial state shape does not match generator")
+    start = np.array(initial.blocks, dtype=complex)
+    if np.all(np.isfinite(start)):  # run_samples names a non-finite start
+        check_hermitian(start, "initial state")
+    if target is not None:
+        if target.blocks.shape != start.shape:
+            raise ValueError("target shape does not match generator")
+        check_hermitian(target.blocks, "target")
     dt, sample_dt = _default_steps(gen, cfg)
     stride_t = 1.0 / gen.min_rate() if gen.min_rate() > 0 else sample_dt
     # the comparison interval must fit a full window inside t_max
@@ -342,7 +352,7 @@ def integrate(
         records["low"].append(low)
         records["classical"].append(np.einsum("cii->c", arr).real.copy())
         if target is not None:
-            dists.append(hybrid_trace_distance(HybridState(arr), target))
+            dists.append(block_trace_distance(arr, target.blocks))
         if cfg.record_eigenbasis:
             s = vh @ arr @ v
             pops.append(np.einsum("cii->ci", s).real.copy())
@@ -360,12 +370,9 @@ def integrate(
     def rhs(arr: np.ndarray) -> np.ndarray:
         return apply(gen, HybridState(arr)).blocks
 
-    def gap(new: np.ndarray, old: np.ndarray) -> float:
-        return hybrid_trace_distance(HybridState(new), HybridState(old))
-
     y, times, converged, _ = run_samples(
-        np.array(initial.blocks, dtype=complex), cfg, exact=exact, rhs=rhs,
-        dt=dt, sample_dt=sample_dt, stride=stride, gap=gap, record=record,
+        start, cfg, exact=exact, rhs=rhs, dt=dt, sample_dt=sample_dt,
+        stride=stride, gap=block_trace_distance, record=record,
     )
     return Trajectory(
         times=np.array(times),

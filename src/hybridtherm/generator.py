@@ -204,26 +204,19 @@ def build_generator(
     return gen
 
 
-def _flat(label: int, index: int, d: int) -> int:
-    return label * d + index
-
-
-def _edge_list(gen: HybridGenerator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed transitions as flat (source, target, rate) arrays."""
-    d = gen.dim_s
-    edges = np.array(
-        [
-            (_flat(cs, ks, d), _flat(ct, kt, d), rate)
-            for (cs, ks), (ct, kt), rate in gen.directed_transitions()
-        ],
-        dtype=float,
-    ).reshape(-1, 3)
-    return edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp), edges[:, 2].copy()
+def _transitions(gen: HybridGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """Directed transitions read from the RatePairs: (source label, source
+    index, target label, target index) as four index columns, and the rates."""
+    table = np.array(
+        [(*s, *t, r) for s, t, r in gen.directed_transitions()], dtype=float
+    ).reshape(-1, 5)
+    return table[:, :4].astype(np.intp).T, table[:, 4].copy()
 
 
 def _build_caches(gen: HybridGenerator) -> None:
     L, d = gen.num_labels, gen.dim_s
-    gen._src, gen._tgt, gen._rate = _edge_list(gen)
+    (cs, ks, ct, kt), gen._rate = _transitions(gen)
+    gen._src, gen._tgt = cs * d + ks, ct * d + kt
     outflow = np.bincount(gen._src, gen._rate, minlength=L * d).reshape(L, d)
     freq = gen.eigenvalues[:, :, None] - gen.eigenvalues[:, None, :]
     decay = 0.5 * (outflow[:, :, None] + outflow[:, None, :])
@@ -257,41 +250,38 @@ def apply(gen: HybridGenerator, state: HybridState) -> HybridState:
 
 
 def basis_change_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unitary sending the k-th column of eigenvector matrix a to the k-th of b."""
+    """Unitary sending the k-th column of eigenvector matrix a to the k-th of b
+    (for stacks of a and b, one unitary per pair)."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return b @ a.conj().T
+    return b @ a.conj().swapaxes(-1, -2)
 
 
 def collisional_apply(gen: HybridGenerator, state: HybridState) -> HybridState:
-    """Same derivative via explicit operator products.
+    """Same derivative via explicit operator products, for equivalence checks.
 
-    Cross-label gains are written with the basis-change unitary conjugating
-    the source block, so every jump operator lives in the basis of the block
-    it acts on.  Kept as an independent slow route for equivalence checks.
+    The transitions come from the RatePairs, not from apply's edge list.
+    Every jump acts on its source block moved into the target label's basis
+    by the basis-change unitary (the identity within one label).  All
+    transitions are stacked and their losses and gains scattered at once.
     """
     if state.num_labels != gen.num_labels or state.dim_s != gen.dim_s:
         raise ValueError("state shape does not match generator")
-    L, d = gen.num_labels, gen.dim_s
-    out = np.zeros_like(state.blocks)
-    # conditional Hamiltonian commutators
-    for c in range(L):
-        hc = gen.hamiltonian.conditional(c)
-        out[c] += -1j * (hc @ state.blocks[c] - state.blocks[c] @ hc)
+    rho = state.blocks
+    h = gen.hamiltonian.conditionals()
+    out = -1j * (h @ rho - rho @ h)
+    (cs, ks, ct, kt), rate = _transitions(gen)
+    rate = rate[:, None, None]
     vecs = gen.eigenvectors
-    for (cs, ks), (ct, kt), rate in gen.directed_transitions():
-        src_vec = vecs[cs][:, ks]
-        proj_src = np.outer(src_vec, src_vec.conj())
-        rho_s = state.blocks[cs]
-        out[cs] -= 0.5 * rate * (proj_src @ rho_s + rho_s @ proj_src)
-        if cs == ct:
-            a_op = np.outer(vecs[ct][:, kt], src_vec.conj())
-            out[ct] += rate * (a_op @ rho_s @ a_op.conj().T)
-        else:
-            u_tilde = basis_change_unitary(vecs[ct], vecs[cs])
-            a_op = np.outer(vecs[ct][:, kt], vecs[ct][:, ks].conj())
-            moved = u_tilde.conj().T @ rho_s @ u_tilde
-            out[ct] += rate * (a_op @ moved @ a_op.conj().T)
+    src_vec = vecs[cs, :, ks]
+    proj_src = src_vec[:, :, None] * src_vec.conj()[:, None, :]
+    rho_s = rho[cs]
+    loss = 0.5 * rate * (proj_src @ rho_s + rho_s @ proj_src)
+    u_tilde = basis_change_unitary(vecs[ct], vecs[cs])
+    moved = u_tilde.conj().transpose(0, 2, 1) @ rho_s @ u_tilde
+    a_op = vecs[ct, :, kt][:, :, None] * vecs[ct, :, ks].conj()[:, None, :]
+    gain = rate * (a_op @ moved @ a_op.conj().transpose(0, 2, 1))
+    np.add.at(out, np.concatenate([cs, ct]), np.concatenate([-loss, gain]))
     return HybridState(out)
 
 
@@ -335,9 +325,7 @@ def bipartite_superoperator(gen: HybridGenerator, max_dim: int = 256) -> np.ndar
     if dim > max_dim:
         raise ValueError(f"embedded dimension {dim} exceeds cap {max_dim}")
     eye = np.eye(dim)
-    h_full = np.zeros((dim, dim), dtype=complex)
-    for c in range(L):
-        h_full[c * d : (c + 1) * d, c * d : (c + 1) * d] = gen.hamiltonian.conditional(c)
+    h_full = embed_state(HybridState(gen.hamiltonian.conditionals()))
     sup = -1j * (np.kron(h_full, eye) - np.kron(eye, h_full.T))
     for (cs, ks), (ct, kt), rate in gen.directed_transitions():
         u_src = np.zeros(dim, dtype=complex)

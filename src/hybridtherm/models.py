@@ -154,13 +154,13 @@ def required_half_width(s: LatticeScenario) -> int:
             raise ValueError("site weights do not decay; check delta_e > 0")
     w = np.exp(lw - lw.max())
     total = w.sum()
-    half = span
-    while half > 0:
-        tail = w[: span - half].sum() + w[span + half + 1 :].sum()
-        # the part beyond the scan span is bounded by a tenth of the budget
-        if tail / total >= 0.9 * TAIL_WEIGHT:
-            break
-        half -= 1
+    # tails[j]: weight beyond half width span - j, each side summed inward
+    # from its own edge; beyond the scan span lies under a tenth of the budget
+    left = np.cumsum(w[: span - 1])
+    right = np.cumsum(w[: -span : -1])
+    tails = np.concatenate([[0.0], left + right])
+    over = np.flatnonzero(tails / total >= 0.9 * TAIL_WEIGHT)
+    half = span - int(over[0]) if over.size else 0
     return half + 1
 
 

@@ -29,8 +29,7 @@ BIPARTITE_CHECK_CAP = 24
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (g + g.conj().T)
+    return random_hermitian_blocks(rng, 1, dim).blocks[0]
 
 
 def random_hybrid_state(
@@ -39,20 +38,21 @@ def random_hybrid_state(
     """Random valid hybrid state with full-rank blocks."""
     weights = rng.random(num_labels) + 0.1
     weights /= weights.sum()
-    blocks = np.empty((num_labels, dim_s, dim_s), dtype=complex)
-    for c in range(num_labels):
-        g = rng.normal(size=(dim_s, dim_s)) + 1j * rng.normal(size=(dim_s, dim_s))
-        rho = g @ g.conj().T + 1e-6 * np.eye(dim_s)
-        blocks[c] = weights[c] * rho / np.trace(rho).real
-    return HybridState(blocks)
+    # one draw per stack, in the order of a block-by-block draw (real part first)
+    z = rng.normal(size=(num_labels, 2, dim_s, dim_s))
+    g = z[:, 0] + 1j * z[:, 1]
+    rho = g @ g.conj().transpose(0, 2, 1) + 1e-6 * np.eye(dim_s)
+    traces = np.trace(rho, axis1=1, axis2=2).real
+    return HybridState(weights[:, None, None] * rho / traces[:, None, None])
 
 
 def random_hermitian_blocks(
     rng: np.random.Generator, num_labels: int, dim_s: int
 ) -> HybridState:
     """Hermitian but not necessarily positive block array."""
-    blocks = np.stack([random_hermitian(rng, dim_s) for _ in range(num_labels)])
-    return HybridState(blocks)
+    z = rng.normal(size=(num_labels, 2, dim_s, dim_s))
+    g = z[:, 0] + 1j * z[:, 1]
+    return HybridState(0.5 * (g + g.conj().transpose(0, 2, 1)))
 
 
 def _check(name, residual, tolerance, detail=""):

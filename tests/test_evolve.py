@@ -12,8 +12,10 @@ from hybridtherm.evolve import (
     _poisson_weights,
     converged_state,
     integrate,
+    run_samples,
     trajectory_csv,
 )
+from hybridtherm.linalg import NonHermitianError
 from hybridtherm.models import LatticeScenario, TlsScenario, build_lattice, build_tls
 from hybridtherm.state import HybridState, hybrid_trace_distance
 from hybridtherm.thermal import hybrid_thermal
@@ -164,6 +166,28 @@ class TestFailureModes:
         cfg = IntegratorConfig(t_max=1.0)
         with pytest.raises(StiffIntegrationError):
             integrate(gen, random_hybrid_state(rng, 2, 2), cfg)
+
+    def test_non_finite_sample_stops_the_run(self):
+        seen = []
+
+        def exact(y, interval):
+            return np.full_like(y, np.nan)
+
+        with pytest.raises(StiffIntegrationError, match="non-finite sample at t = 0.25"):
+            run_samples(
+                np.ones(3), IntegratorConfig(t_max=1.0), exact=exact, rhs=None,
+                dt=0.1, sample_dt=0.25, stride=1, gap=lambda new, old: 0.0,
+                record=seen.append,
+            )
+        assert len(seen) == 1
+
+    def test_non_hermitian_start_rejected(self, rng):
+        _, gen = build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))
+        start = random_hybrid_state(rng, 2, 2)
+        start.blocks[0, 0, 1] += 0.1
+        for target in (None, hybrid_thermal(gen.hamiltonian, gen.beta)):
+            with pytest.raises(NonHermitianError, match="initial state"):
+                integrate(gen, start, IntegratorConfig(t_max=1.0), target=target)
 
     def test_shape_mismatch_rejected(self, rng):
         s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)

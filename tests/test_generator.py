@@ -127,7 +127,59 @@ class TestDetailedBalance:
         assert empty.max_rate() == 0.0 and empty.min_rate() == 0.0
 
 
+def loop_collisional_apply(gen, state):
+    """The operator-form derivative, one transition at a time: the
+    reference for the stacked collisional_apply."""
+    out = np.zeros_like(state.blocks)
+    for c in range(gen.num_labels):
+        hc = gen.hamiltonian.conditional(c)
+        out[c] += -1j * (hc @ state.blocks[c] - state.blocks[c] @ hc)
+    vecs = gen.eigenvectors
+    for (cs, ks), (ct, kt), rate in gen.directed_transitions():
+        src_vec = vecs[cs][:, ks]
+        proj_src = np.outer(src_vec, src_vec.conj())
+        rho_s = state.blocks[cs]
+        out[cs] -= 0.5 * rate * (proj_src @ rho_s + rho_s @ proj_src)
+        if cs == ct:
+            a_op = np.outer(vecs[ct][:, kt], src_vec.conj())
+            out[ct] += rate * (a_op @ rho_s @ a_op.conj().T)
+        else:
+            u_tilde = vecs[cs] @ vecs[ct].conj().T
+            a_op = np.outer(vecs[ct][:, kt], vecs[ct][:, ks].conj())
+            moved = u_tilde.conj().T @ rho_s @ u_tilde
+            out[ct] += rate * (a_op @ moved @ a_op.conj().T)
+    return out
+
+
 class TestRouteEquivalence:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_collisional_matches_per_transition_loop(self, rng, dim):
+        for _ in range(4):
+            h, _ = random_generator(rng, num_labels=3, dim=dim)
+            specs = [
+                TransitionSpec.within(c, 0, dim - 1, rng.uniform(0.1, 5.0))
+                for c in range(3)
+            ] + [
+                TransitionSpec.between(
+                    c, int(rng.integers(dim)), c + 1, int(rng.integers(dim)),
+                    rng.uniform(0.1, 5.0),
+                )
+                for c in range(2)
+            ]
+            gen = build_generator(h, specs, rng.uniform(0.2, 3.0))
+            state = random_hybrid_state(rng, gen.num_labels, gen.dim_s)
+            got = collisional_apply(gen, state).blocks
+            want = loop_collisional_apply(gen, state)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, gen.max_rate())
+
+    def test_collisional_without_transitions_is_the_commutator(self, rng):
+        h, _ = random_generator(rng, dim=3)
+        gen = build_generator(h, [], 1.0)
+        state = random_hybrid_state(rng, gen.num_labels, gen.dim_s)
+        got = collisional_apply(gen, state).blocks
+        assert np.max(np.abs(got - loop_collisional_apply(gen, state))) <= 1e-14
+        assert np.max(np.abs(got - apply(gen, state).blocks)) <= 1e-13
+
     def test_apply_matches_collisional(self, rng):
         for _ in range(8):
             _, gen = random_generator(rng)
@@ -419,6 +471,16 @@ class TestFaultInjection:
             assert by_name[name]["residual"] is None
         json.dumps(report, allow_nan=False)
 
+    def test_edge_list_corruption_fails_collisional_equivalence(self):
+        # collisional_apply reads the RatePairs, not the edge list apply uses
+        s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
+        _, gen = build_tls(s)
+        gen._rate[0] *= 1.01
+        report = verification_report(gen, np.random.default_rng(3), num_states=3)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["collisional_equivalence"]["passed"] is False
+        assert not report["all_passed"]
+
     def test_bookkeeping_corruption_without_rebuild(self, rng):
         _, gen = random_generator(rng)
         pair = gen.rate_pairs[0]
@@ -479,3 +541,27 @@ class TestBuildValidation:
             1.0,
         )
         assert len(gen.rate_pairs) == 1
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("num_labels,dim", [(2, 2), (37, 2), (5, 3), (4, 4)])
+    def test_stacked_draws_keep_the_per_block_stream(self, num_labels, dim):
+        def complex_normal(rng):
+            return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+        ref = np.random.default_rng(11)
+        weights = ref.random(num_labels) + 0.1
+        weights /= weights.sum()
+        want = np.empty((num_labels, dim, dim), dtype=complex)
+        for c in range(num_labels):
+            g = complex_normal(ref)
+            rho = g @ g.conj().T + 1e-6 * np.eye(dim)
+            want[c] = weights[c] * rho / np.trace(rho).real
+        got = random_hybrid_state(np.random.default_rng(11), num_labels, dim)
+        assert np.array_equal(got.blocks, want)
+
+        ref = np.random.default_rng(12)
+        gs = [complex_normal(ref) for _ in range(num_labels)]
+        want = np.stack([0.5 * (g + g.conj().T) for g in gs])
+        got = random_hermitian_blocks(np.random.default_rng(12), num_labels, dim)
+        assert np.array_equal(got.blocks, want)

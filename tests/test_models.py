@@ -7,6 +7,7 @@ import pytest
 from hybridtherm.generator import stationary_state
 from hybridtherm.models import (
     DegenerateMechanismWarning,
+    TAIL_WEIGHT,
     LatticeScenario,
     TlsScenario,
     build_alt_lattice,
@@ -124,6 +125,26 @@ class TestTruncation:
         w = w / w.sum()
         tail_smaller = w[np.abs(wide) > need - 2].sum()
         assert tail_smaller > 1e-14
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(delta_e=0.05, delta_omega=0.1),
+            dict(delta_e=0.01, delta_omega=0.5, omega_0=1.0),
+            dict(delta_e=0.3, delta_omega=0.0, omega_0=2.0),
+        ],
+    )
+    def test_required_half_width_is_the_narrowest_within_budget(self, params):
+        s = LatticeScenario(beta=1.0, half_width=4, **params)
+        need = required_half_width(s)
+        wide = np.arange(-4 * need, 4 * need + 1)
+        w = np.exp(site_log_weight(s, wide) - site_log_weight(s, 0))
+
+        def tail(half):
+            return math.fsum(w[np.abs(wide) > half]) / math.fsum(w)
+
+        assert tail(need) < 0.9 * TAIL_WEIGHT
+        assert not tail(need - 1) < 0.9 * TAIL_WEIGHT
 
     def test_build_raises_half_width_with_warning(self):
         s = LatticeScenario(beta=1.0, half_width=3, delta_e=0.05, delta_omega=0.1)
