@@ -1,31 +1,33 @@
-"""Time sample-interval propagation against system size on one or more checkouts.
+"""Time whole propagation runs against system size on one or more checkouts.
 
-    python benchmarks/propagation_scaling.py --src after=src \\
-        --src before=../parent/src --half-widths 18,70,150,500,1000 \\
-        --points 151,301,601,1201 --pairs 3 --cli-repeats 3 --tier1 \\
-        --perfbench-dir ../pairs --out BENCH_propagate.json
+    python benchmarks/propagation_scaling.py --src change=src \\
+        --src parent=../parent/src --half-widths 18,50,75,100,150 \\
+        --points 101,151,201,251,301 --pairs 5 --cli-repeats 3 --tier1 \\
+        --perfbench-dir ../pairs --out BENCH_dense.json
 
 Each checkout propagates with its own default integrator method.  Every
 (pair, checkout, size) runs in a fresh Python process with BLAS threads
 fixed at one; checkouts alternate within every pair so drift in machine
 speed hits them alike.
 
-- Lattice: the bundled parameters (scenarios/lattice.json) at each
-  half_width, from the uniform start, --samples intervals of sample_dt 1.
+- Lattice: the bundled parameters and integrator block
+  (scenarios/lattice.json) at each half_width, from the uniform start.
 - Fokker-Planck: the bundled scenario (scenarios/fokker_planck.json) at each
-  number of grid points, from the polarized start, --samples intervals of
-  sample_dt 2.
+  number of grid points, from the polarized start.
 
-Each process reports the wall time per sample interval, its peak RSS and,
-where the checkout has ExactPropagator, the uniformization mean Lambda*dt,
-the substeps and the scatter terms per interval.  --cli-repeats times
-`hybridtherm evolve` on each checkout's bundled scenarios as whole processes;
---tier1 times one run of each checkout's test suite.  --perfbench-dir
-summarizes perfbench runs saved as <workload>-<label>-<pair>.json, the
-standard output of `python3 perfbench/run.py --workload W --seed 300+pair
---seconds 20 --trace 0` run in each checkout with the order alternating
-between pairs.  The JSON holds medians and quartiles, and the machine,
-Python, numpy and BLAS-thread settings.
+Each process times one whole integrate call, convergence monitor included,
+and reports it with the number of sample intervals, the time per interval,
+its peak RSS and, where the checkout has ExactPropagator, the uniformization
+mean Lambda*dt, the series' scatter terms per interval and the route the
+propagator chose ("dense" where the plan holds a matrix, else "series").
+--cli-repeats times `hybridtherm evolve` on each checkout's bundled
+scenarios as whole processes; --tier1 times one run of each checkout's test
+suite.  --perfbench-dir summarizes perfbench runs saved as
+<workload>-<label>-<pair>.json, the standard output of
+`python3 perfbench/run.py --workload W --seed 300+pair --seconds 20
+--trace 0` run in each checkout with the order alternating between pairs.
+The JSON holds medians and quartiles, and the machine, Python, numpy and
+BLAS-thread settings.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ from hybridtherm import evolve
 from hybridtherm.continuum import ContinuumParams, FokkerPlanckEvolution
 from hybridtherm.models import LatticeScenario, build_lattice
 from hybridtherm.state import HybridState
-kind, size, samples = sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
+kind, size = sys.argv[3], int(sys.argv[4])
 scenario = json.load(open(sys.argv[2]))
+cfg = evolve.IntegratorConfig(**scenario["integrator"])
+dt = cfg.sample_dt
 exact = getattr(evolve, "ExactPropagator", None)
 def propagator(src, tgt, rate, n, multiplier):
     # older checkouts take the outflow of every state in place of n
@@ -70,8 +74,6 @@ with warnings.catch_warnings():
         h, gen = build_lattice(s)
         L, d = h.num_labels, h.dim_s
         start = HybridState(np.tile(np.eye(d, dtype=complex) / (L * d), (L, 1, 1)))
-        dt = 1.0
-        cfg = evolve.IntegratorConfig(t_max=samples * dt, sample_dt=dt, convergence_tol=0.0)
         run = lambda: evolve.integrate(gen, start, cfg)
         n = L * d
         if exact:
@@ -85,21 +87,24 @@ with warnings.catch_warnings():
         evo = FokkerPlanckEvolution(p, x, gamma=fp["gamma"], kappa_th=fp["kappa_th"],
                                     drift_scheme=fp["drift_scheme"])
         start = evo.polarized_fields()
-        dt = scenario["integrator"]["sample_dt"]
-        cfg = evolve.IntegratorConfig(t_max=samples * dt, sample_dt=dt, convergence_tol=0.0)
         run = lambda: evo.integrate(start, cfg)
         n = 2 * size
         if exact:
             src, tgt, rate = evo.population_edges()
             prop = propagator(src, tgt, rate, n, np.zeros(n))
     t0 = time.perf_counter()
-    run()
+    traj = run()
     seconds = time.perf_counter() - t0
-out = {"n": n, "per_sample_s": seconds / samples,
+intervals = len(traj.times) - 1
+out = {"n": n, "integrate_s": seconds, "intervals": intervals,
+       "per_sample_s": seconds / intervals,
        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 if exact:
-    steps, weights, _ = prop._plan(dt)
-    out.update(lambda_dt=prop._lam * dt, substeps=steps, terms=steps * (len(weights) - 1))
+    plan = prop._plan(dt)
+    # plans are (steps, weights, factors), or (matrix or None, steps, ...)
+    matrix, (steps, weights) = (plan[0], plan[1:3]) if len(plan) == 4 else (None, plan[:2])
+    out.update(lambda_dt=prop._lam * dt, terms=steps * (len(weights) - 1),
+               route="series" if matrix is None else "dense")
 print(json.dumps(out))
 """
 
@@ -110,11 +115,11 @@ def child_env(src: str) -> dict:
     return env
 
 
-def run_child(src: str, kind: str, size: int, samples: int) -> dict:
+def run_child(src: str, kind: str, size: int) -> dict:
     name = "lattice" if kind == "lattice" else "fokker_planck"
     out = subprocess.run(
         [sys.executable, "-c", CHILD, src, str(ROOT / "scenarios" / f"{name}.json"),
-         kind, str(size), str(samples)],
+         kind, str(size)],
         env=child_env(src), check=True, capture_output=True, text=True,
     )
     return json.loads(out.stdout)
@@ -127,10 +132,10 @@ def quartiles(values) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles over processes of every timed figure; counts as is."""
-    row = {"n": runs[0]["n"]}
-    for key in ("per_sample_s", "peak_rss_mb"):
+    row = {"n": runs[0]["n"], "intervals": runs[0]["intervals"]}
+    for key in ("integrate_s", "per_sample_s", "peak_rss_mb"):
         row[key] = quartiles([run[key] for run in runs])
-    for key in ("lambda_dt", "substeps", "terms"):
+    for key in ("lambda_dt", "terms", "route"):
         if key in runs[0]:
             row[key] = runs[0][key]
     return row
@@ -194,9 +199,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", required=True,
                         help="label=path to a src directory")
-    parser.add_argument("--half-widths", default="18,70,150,500,1000")
-    parser.add_argument("--points", default="151,301,601,1201")
-    parser.add_argument("--samples", type=int, default=3, help="intervals per process")
+    parser.add_argument("--half-widths", default="18,50,75,100,150")
+    parser.add_argument("--points", default="101,151,201,251,301")
     parser.add_argument("--pairs", type=int, default=3, help="fresh processes per checkout")
     parser.add_argument("--cli-repeats", type=int, default=0)
     parser.add_argument("--tier1", action="store_true")
@@ -215,13 +219,13 @@ def main(argv=None) -> int:
         for label, src in alternating(pair):
             for kind, size in sizes:
                 key = f"{kind}_{size}"
-                runs[label].setdefault(key, []).append(run_child(src, kind, size, args.samples))
+                runs[label].setdefault(key, []).append(run_child(src, kind, size))
     report = {
         "method": (
             f"{args.pairs} alternating fresh processes per checkout and size, each "
-            f"timing one integrate call over {args.samples} sample intervals with the "
-            "checkout's default method; figures are the median and quartiles over "
-            "processes"
+            "timing one whole integrate call of the bundled scenario's integrator "
+            "block with the checkout's default method; figures are the median and "
+            "quartiles over processes"
         ),
         "machine": {
             "cpus": os.cpu_count(),
@@ -230,7 +234,7 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "blas_threads": {var: "1" for var in THREAD_VARS},
         },
-        "per_sample": {
+        "runs": {
             label: {key: summarize(r) for key, r in table.items()}
             for label, table in runs.items()
         },

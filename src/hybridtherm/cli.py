@@ -22,7 +22,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .continuum import (
@@ -74,12 +73,97 @@ def _load_schema() -> dict:
     return json.loads(text)
 
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # JSON integers only: 18.0 and 1e6 parse as floats and are refused
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality: booleans are not numbers, containers compare by element."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _schema_errors(value, schema: dict, root: dict, path: str = "$"):
+    """(JSON path, message) for every way value breaks schema.
+
+    A JSON Schema (draft 2020-12) check of exactly the keywords that
+    scenario.schema.json uses, yielding in a draft validator's order; any
+    other keyword raises, so the schema cannot outgrow the check unnoticed.
+    """
+    for key, arg in schema.items():
+        if key in ("$schema", "title", "$defs"):
+            continue
+        if key == "$ref":
+            sub = root["$defs"][arg.removeprefix("#/$defs/")]
+            yield from _schema_errors(value, sub, root, path)
+        elif key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum":
+            if not any(_same(value, option) for option in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "minimum":
+            if _TYPES["number"](value) and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum":
+            if _TYPES["number"](value) and value <= arg:
+                yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                short = "should be non-empty" if arg == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                yield path, f"{value!r} is too long"
+        elif key == "uniqueItems":
+            if arg and isinstance(value, list) and any(
+                _same(a, b) for i, a in enumerate(value) for b in value[i + 1:]
+            ):
+                yield path, f"{value!r} has non-unique elements"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, arg, root, f"{path}[{i}]")
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, root, f"{path}.{name}")
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and arg is False:
+            extras = isinstance(value, dict) and sorted(
+                set(value) - set(schema.get("properties", {}))
+            )
+            if extras:
+                names = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        else:
+            raise ValueError(f"scenario schema keyword {key!r} is not supported")
+
+
 def _validate_scenario(data) -> None:
-    validator = jsonschema.Draft202012Validator(_load_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
+    schema = _load_schema()
+    errors = sorted(_schema_errors(data, schema, schema), key=lambda e: e[0])
     if errors:
-        first = errors[0]
-        raise InputError(f"scenario invalid at {first.json_path}: {first.message}")
+        path, message = errors[0]
+        raise InputError(f"scenario invalid at {path}: {message}")
 
 
 def _reject_constant(token: str):

@@ -4,10 +4,13 @@ In the conditional eigenbases the generator splits exactly: coherences decay
 in place with fixed complex multipliers and populations follow a classical
 rate matrix.  The default method, "exact", propagates each sample interval in
 closed form with ExactPropagator: coherences are multiplied by
-exp(multiplier * dt) and populations advance by uniformization along the
-edge list.  The steppers "rk45" (adaptive embedded Dormand-Prince) and "rk4"
-(fixed-step classic) integrate apply instead; they stay as independent
-oracles.
+exp(multiplier * dt) and populations advance by exp(dt Q).  Below a size and
+work crossover that map is built once per distinct interval as a dense matrix
+by scaling and squaring, its columns renormalized to unit sum, so each
+interval is one matvec; above it populations advance by uniformization along
+the edge list, which also serves as the oracle.  The steppers "rk45"
+(adaptive embedded Dormand-Prince) and "rk4" (fixed-step classic) integrate
+apply instead; they stay as independent oracles.
 
 run_samples is the one sample loop of both model families, the discrete
 generators here and the Fokker-Planck fields in continuum.  Its convergence
@@ -142,6 +145,10 @@ def _rk45_segment(
 # intervals are split into equal substeps below this mean
 _MAX_POISSON_MEAN = 400.0
 _POISSON_TAIL = 1e-17
+# ExactPropagator's dense route: at most this many states, and a build of at
+# most this many multiply-adds per scattered element of one series interval
+_DENSE_MAX_STATES = 512
+_DENSE_WORK_RATIO = 2**14
 
 
 def _poisson_weights(mean: float, norm: float = 1.0) -> np.ndarray:
@@ -173,16 +180,43 @@ class ExactPropagator:
     populations and fixed complex multipliers on the coherences.
 
     Q is given as directed edges (src, tgt, rate) over n states, and the
-    outflow of each state is summed from its edges.  Populations advance by
-    uniformization along the edge list (Jensen 1953):
-    exp(dt Q) p = sum_k Poisson(k; Lambda dt) (I + Q / Lambda)**k p, with
-    Lambda the largest outflow, so each term is one scatter and memory stays
-    linear in the number of states.  Coherences are multiplied by
-    exp(dt * multiplier).  The weights and factors are built once per
-    distinct dt.  Negative rates (a central drift stencil past cell Peclet
-    number 2) make |I + Q / Lambda|_1 exceed one; the truncation bound
-    carries that norm, and intervals are split so that it cannot amplify
-    rounding by more than a factor e.
+    outflow of each state is summed from its edges.  Coherences are
+    multiplied by exp(dt * multiplier).  Populations advance by one of two
+    routes, both built from the Poisson series of uniformization (Jensen
+    1953), exp(dt Q) = sum_k Poisson(k; Lambda dt) B**k with
+    B = I + Q / Lambda and Lambda the largest outflow:
+
+    - series: the sum is applied to the populations along the edge list,
+      one scatter per term, so memory stays linear in n and the cost per
+      interval grows with Lambda dt.
+    - dense: exp(dt Q) is built once as an n x n matrix by scaling and
+      squaring (Moler & Van Loan 2003).  dt is split into 2**j substeps of
+      Poisson mean at most one, whose series is summed by Horner in dense
+      BLAS on B, and the result is squared j times.  Each interval is then
+      one matvec.  Every column of exp(t Q) sums to exactly one, so after
+      each squaring the columns are divided by their sums; without that the
+      squarings amplify rounding like 2**j.
+
+    The plan of each distinct dt (substeps, weights and coherence factors,
+    plus the dense matrix on that route) is built once and kept in _plans.
+    Route rule: dense when n <= _DENSE_MAX_STATES, which keeps the build's
+    three n x n float64 arrays within 6.3 MB, and the build's
+    (j + Horner terms) * n**3 multiply-adds are at most _DENSE_WORK_RATIO
+    times one series interval's terms * (edges + n) scattered elements.  A
+    BLAS multiply-add costs about 1/140 of a scattered element (45 ps
+    against 6.5 ns at n = 200 to 600, one BLAS thread), so the ratio 2**14
+    lets the build cost up to about 120 series intervals; the bundled runs
+    take 140 (lattice) to 532 (Fokker-Planck) intervals.  On the whole-run
+    curve of BENCH_dense.json (benchmarks/propagation_scaling.py) the
+    lattice, at Lambda dt 2.6, breaks even near n = 300 and the rule turns
+    to the series from n = 402; the Fokker-Planck fields, whose Lambda dt
+    grows with points**2, run 4 to 8 times faster on the dense route up to
+    the cap.
+
+    Negative rates (a central drift stencil past cell Peclet number 2) make
+    |I + Q / Lambda|_1 exceed one; the truncation bound carries that norm,
+    and intervals and substeps are split so that it cannot amplify rounding
+    by more than a factor e.
     """
 
     def __init__(self, src, tgt, rate, n, multiplier):
@@ -202,11 +236,13 @@ class ExactPropagator:
         self._norm = float(
             np.max(np.bincount(self._src, np.abs(self._hop), minlength=n), initial=1.0)
         )
+        self._n = n
         self._lam = lam
         self._multiplier = multiplier
-        self._plans: dict[float, tuple[int, list[float], np.ndarray]] = {}
+        # dt -> (dense exp(dt Q) or None, substeps, weights, coherence factors)
+        self._plans: dict[float, tuple[np.ndarray | None, int, list[float], np.ndarray]] = {}
 
-    def _plan(self, dt: float) -> tuple[int, list[float], np.ndarray]:
+    def _plan(self, dt: float) -> tuple[np.ndarray | None, int, list[float], np.ndarray]:
         plan = self._plans.get(dt)
         if plan is None:
             mean = self._lam * dt
@@ -216,14 +252,38 @@ class ExactPropagator:
                 math.ceil(mean * (self._norm - 1.0)),
             )
             weights = _poisson_weights(mean / steps, self._norm).tolist()
-            plan = self._plans[dt] = (steps, weights, np.exp(dt * self._multiplier))
+            scaled = mean * max(1.0, self._norm - 1.0)
+            squarings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
+            horner = _poisson_weights(math.ldexp(mean, -squarings), self._norm)
+            n = self._n
+            dense = n <= _DENSE_MAX_STATES and (squarings + horner.size - 1) * n**3 <= (
+                _DENSE_WORK_RATIO * steps * (len(weights) - 1) * self._src.size
+            )
+            matrix = self._dense(horner, squarings) if dense else None
+            plan = self._plans[dt] = (matrix, steps, weights, np.exp(dt * self._multiplier))
         return plan
+
+    def _dense(self, weights: np.ndarray, squarings: int) -> np.ndarray:
+        """sum_k weights[k] B**k by Horner, then squared `squarings` times."""
+        n = self._n
+        b = np.bincount(self._tgt * n + self._src, self._hop, minlength=n * n)
+        b = b.reshape(n, n)
+        p = np.diag(np.full(n, weights[-1]))
+        for w in weights[-2::-1]:
+            p = b @ p
+            p.flat[:: n + 1] += w
+        for _ in range(squarings):
+            p = p @ p
+            p /= p.sum(axis=0)
+        return p
 
     def __call__(
         self, pops: np.ndarray, cohs: np.ndarray, dt: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Populations and coherences one interval dt later."""
-        steps, weights, factor = self._plan(dt)
+        matrix, steps, weights, factor = self._plan(dt)
+        if matrix is not None:
+            return matrix @ pops, cohs * factor
         src, tgt, hop, n = self._src, self._tgt, self._hop, pops.size
         for _ in range(steps):
             v = pops

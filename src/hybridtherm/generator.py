@@ -131,9 +131,9 @@ class HybridGenerator:
         """Worst relative defect of gamma_up against the balance formula.
 
         Recomputed from the stored eigenvalues, so a corrupted rate table
-        shows up directly.
+        shows up directly.  A NaN rate gives NaN.
         """
-        worst = 0.0
+        defects = [0.0]
         for pair in self.rate_pairs:
             if pair.gamma_down == 0.0:
                 continue
@@ -143,8 +143,8 @@ class HybridGenerator:
             )
             expected = pair.gamma_down * math.exp(-self.beta * delta)
             denom = max(expected, np.finfo(float).tiny)
-            worst = max(worst, abs(pair.gamma_up - expected) / denom)
-        return worst
+            defects.append(abs(pair.gamma_up - expected) / denom)
+        return float(np.max(defects))
 
 
 def _resolve_pair(

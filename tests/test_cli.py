@@ -692,3 +692,116 @@ class TestNonFiniteInput:
         assert code == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestIntegerFields:
+    # 18.0 and 1e6 parse as JSON floats; they once passed the schema and
+    # ended in a TypeError traceback with exit 1
+    @pytest.mark.parametrize(
+        "scenario, block, key, token",
+        [
+            ("lattice", "lattice", "half_width", "18.0"),
+            ("lattice", "lattice", "half_width", "1e6"),
+            ("fokker_planck", "fokker_planck", "points", "151.0"),
+            ("fokker_planck", "fokker_planck", "points", "1e6"),
+        ],
+    )
+    def test_float_token_exits_2(self, tmp_path, capsys, scenario, block, key, token):
+        data = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        data[block][key] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data).replace('"@"', token), encoding="utf-8")
+        code = cli.main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: scenario invalid at $.{block}.{key}: "
+            f"{float(token)!r} is not of type 'integer'"
+        ]
+        assert not (tmp_path / "out").exists()
+
+
+def _mutants(node, path=()):
+    """(path, replacement) pairs: every node of a scenario replaced by values
+    of the wrong type, below the bounds, of the wrong length and repeated
+    (JSON holds 1 and true distinct)."""
+    for value in ("x", -1, 0, 0.5, True, [], [node] * 3, [1, True]):
+        yield path, value
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _mutants(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _mutants(child, path + (i,))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(data))
+    *parents, leaf = path
+    node = copy
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return copy
+
+
+def _objects(node, path=()):
+    """(path, object) for every JSON object in a scenario."""
+    if isinstance(node, dict):
+        yield path, node
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _objects(child, path + (key,))
+
+
+class TestSchemaOracle:
+    """The in-tree check against jsonschema's draft 2020-12 validator."""
+
+    def corpus(self):
+        bundled = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+        for data in bundled + [custom_scenario()]:
+            yield data
+            for path, value in _mutants(data):
+                yield _replaced(data, path, value)
+            for path, obj in _objects(data):
+                yield _replaced(data, path, {**obj, "unknown_key": 1})
+                for key in obj:
+                    yield _replaced(data, path, {k: v for k, v in obj.items() if k != key})
+
+    def first_errors(self):
+        """Map a scenario to the first (path, message) of each check, by path."""
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = cli._load_schema()
+        validator = jsonschema.Draft202012Validator(schema)
+
+        def first(data):
+            theirs = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
+            ours = sorted(cli._schema_errors(data, schema, schema), key=lambda e: e[0])
+            return [(e.json_path, e.message) for e in theirs[:1]], ours[:1]
+
+        return first
+
+    def test_same_verdict_first_path_and_message(self):
+        first = self.first_errors()
+        count = invalid = 0
+        for data in self.corpus():
+            theirs, ours = first(data)
+            assert ours == theirs, data
+            count += 1
+            invalid += bool(ours)
+        assert count > 1000 and invalid > 0.8 * count
+
+    def test_integral_float_is_the_one_difference(self):
+        data = json.loads((SCENARIOS / "lattice.json").read_text())
+        data["lattice"]["half_width"] = 18.0
+        theirs, ours = self.first_errors()(data)
+        assert theirs == []
+        assert ours == [("$.lattice.half_width", "18.0 is not of type 'integer'")]
+
+    def test_unknown_keyword_raises(self):
+        schema = {"type": "object", "maxProperties": 1}
+        with pytest.raises(ValueError, match="maxProperties"):
+            list(cli._schema_errors({}, schema, schema))

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hybridtherm import cli, evolve
 from hybridtherm.evolve import (
     ExactPropagator,
     IntegratorConfig,
@@ -20,6 +23,8 @@ from hybridtherm.models import LatticeScenario, TlsScenario, build_lattice, buil
 from hybridtherm.state import HybridState, hybrid_trace_distance
 from hybridtherm.thermal import hybrid_thermal
 from hybridtherm.verify import random_hybrid_state
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def coherent_start(gen):
@@ -339,6 +344,81 @@ class TestExactPropagator:
         assert np.max(np.abs(a.eig_populations - b.eig_populations)) < 1e-10
         assert np.max(np.abs(a.eig_coherences - b.eig_coherences)) < 1e-10
         assert hybrid_trace_distance(a.final_state, b.final_state) < 1e-10
+
+
+class TestDenseRoute:
+    """The cached dense exp(dt Q) against the edge-list series."""
+
+    def test_both_routes_match_dense_exponential(self, rng):
+        # one chain: a short interval keeps the series (few terms), a long
+        # one takes the dense build (many terms)
+        n = 400
+        src, tgt, rate = random_chain(rng, n, 1.0)
+        prop = ExactPropagator(src, tgt, rate, n, np.zeros(n))
+        q = rate_matrix(src, tgt, rate, n)
+        p = rng.random(n)
+        p /= p.sum()
+        for dt, route in ((0.02, "series"), (30.0, "dense")):
+            got, _ = prop(p, np.zeros(n), dt)
+            assert isinstance(prop._plans[dt][0], np.ndarray) == (route == "dense")
+            assert np.max(np.abs(got - expm(dt * q) @ p)) < 1e-14
+        # above the size cap only the series runs
+        n = evolve._DENSE_MAX_STATES + 1
+        src, tgt, rate = random_chain(rng, n, 1.0)
+        prop = ExactPropagator(src, tgt, rate, n, np.zeros(n))
+        assert prop._plan(30.0)[0] is None
+
+    @staticmethod
+    def run_bundled(name, monkeypatch=None):
+        if monkeypatch is not None:  # series only
+            monkeypatch.setattr(evolve, "_DENSE_MAX_STATES", 0)
+        scenario = cli.load_scenario(str(SCENARIOS / f"{name}.json"))
+        cfg = IntegratorConfig(**scenario["integrator"])
+        if name == "fokker_planck":
+            _, evo = cli.build_continuum(scenario)
+            return evo.integrate(evo.polarized_fields(), cfg)
+        h, gen = cli.build_discrete(scenario)
+        start = cli._initial_discrete(scenario, h, gen, scenario["beta"], None)
+        cfg = dataclasses.replace(cfg, record_eigenbasis=True)
+        return integrate(gen, start, cfg, target=hybrid_thermal(h, scenario["beta"]))
+
+    def test_bundled_runs_take_the_dense_route(self):
+        for name, dt in (("lattice", 1.0), ("fokker_planck", 2.0), ("tls", 0.5)):
+            scenario = cli.load_scenario(str(SCENARIOS / f"{name}.json"))
+            if name == "fokker_planck":
+                _, evo = cli.build_continuum(scenario)
+                src, tgt, rate = evo.population_edges()
+                n = 2 * evo.x.size
+            else:
+                _, gen = cli.build_discrete(scenario)
+                src, tgt, rate = gen._src, gen._tgt, gen._rate
+                n = gen.num_labels * gen.dim_s
+            plan = ExactPropagator(src, tgt, rate, n, np.zeros(n))._plan(dt)
+            assert isinstance(plan[0], np.ndarray)
+
+    def test_lattice_dense_matches_series_sample_by_sample(self, monkeypatch):
+        dense = self.run_bundled("lattice")
+        series = self.run_bundled("lattice", monkeypatch)
+        assert np.array_equal(dense.times, series.times) and dense.times[-1] == 140.0
+        for name in ("eig_populations", "eig_coherences", "classical", "entropy",
+                     "dist_to_target", "min_eigenvalue", "total_trace"):
+            assert np.max(np.abs(getattr(dense, name) - getattr(series, name))) < 1e-12
+
+    def test_fokker_planck_dense_matches_series_sample_by_sample(self, monkeypatch):
+        dense = self.run_bundled("fokker_planck")
+        series = self.run_bundled("fokker_planck", monkeypatch)
+        assert np.array_equal(dense.times, series.times) and dense.times[-1] == 1064.0
+        for name in ("total_mass", "min_conditional_eig"):
+            assert np.max(np.abs(getattr(dense, name) - getattr(series, name))) < 1e-12
+        for name in ("p_plus", "p_minus", "c_plus", "c_minus"):
+            got, want = getattr(dense.final, name), getattr(series.final, name)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_fokker_planck_keeps_mass_to_rounding(self):
+        # the series drifts to 8.7e-13 over the run; the renormalized
+        # dense columns hold the mass at every sample
+        traj = self.run_bundled("fokker_planck")
+        assert np.max(np.abs(traj.total_mass - 1.0)) < 1e-13
 
 
 class TestTrajectoryCsv:

@@ -459,6 +459,18 @@ class TestFaultInjection:
         assert "detailed_balance" in failed
         assert "thermal_stationarity" in failed
 
+    def test_nan_rate_fails_detailed_balance(self):
+        s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
+        _, gen = build_tls(s)
+        gen.rate_pairs = [
+            dataclasses.replace(gen.rate_pairs[0], gamma_up=math.nan)
+        ] + list(gen.rate_pairs[1:])
+        assert math.isnan(gen.detailed_balance_residual())
+        report = verification_report(gen, np.random.default_rng(3), num_states=3)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["detailed_balance"]["passed"] is False
+        assert by_name["detailed_balance"]["residual"] is None
+
     def test_nan_gain_fails_verification_in_strict_json(self):
         s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
