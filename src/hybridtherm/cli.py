@@ -234,7 +234,10 @@ def build_discrete(scenario: dict):
             kappa_minus=opts.get("kappa_minus", 1.0),
         )
         builder = build_lattice if kind == "lattice" else build_alt_lattice
-        return builder(s)
+        try:
+            return builder(s)
+        except ValueError as err:
+            raise InputError(str(err)) from err
     if kind == "custom":
         opts = scenario["custom"]
         energies = np.array(opts["energies"], dtype=float)
@@ -369,7 +372,7 @@ def cmd_thermal(args) -> int:
         for i in range(block.shape[0]):
             for j in range(block.shape[1]):
                 val = block[i, j]
-                lines.append(f"{c},{i},{j},{val.real!r},{val.imag!r}")
+                lines.append(f"{c},{i},{j},{float(val.real)!r},{float(val.imag)!r}")
     _write(out / "conditionals.csv", "\n".join(lines) + "\n")
     print(f"wrote {out / 'thermal.json'} and {out / 'conditionals.csv'}")
     return 0
@@ -516,7 +519,7 @@ def cmd_fig2(args) -> int:
         name = f"profile_{i:02d}.csv"
         lines = ["x,weight,gaussian"]
         for x, w, g in zip(profile.x, profile.density, profile.gaussian):
-            lines.append(f"{x!r},{w!r},{g!r}")
+            lines.append(f"{float(x)!r},{float(w)!r},{float(g)!r}")
         _write(out / name, "\n".join(lines) + "\n")
         summary["profiles"].append(
             {

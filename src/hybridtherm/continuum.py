@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import ExactPropagator, IntegratorConfig, run_samples
+from .linalg import eigvalsh_2x2
 
 SMOOTH_REGIME_LIMIT = 0.1
 
@@ -231,6 +232,14 @@ class FokkerPlanckEvolution:
             raise ValueError(
                 f"grid spacing {h:.3g} exceeds delta_x = {params.delta_x:.3g}"
             )
+        # the stencil rates scale as delta_x**2 / h**2, and in floats h**2
+        # can underflow to zero and delta_x**2 overflow
+        hh, dx2 = h * h, params.delta_x * params.delta_x
+        if not (hh > 0.0 and dx2 / hh < math.inf):
+            raise ValueError(
+                f"grid spacing {h:.3g} and delta_x = {params.delta_x:.3g} "
+                "give no finite diffusion rate"
+            )
         if drift_scheme not in ("central", "upwind"):
             raise ValueError(f"unknown drift scheme {drift_scheme!r}")
         self.params = params
@@ -324,17 +333,10 @@ class FokkerPlanckEvolution:
         dt_rate = 2.0 / rate if rate > 0 else math.inf
         return min(dt_diff, dt_adv, dt_rate)
 
-    def mass(self, fields: FieldState) -> float:
-        return float((fields.p_plus + fields.p_minus).sum() * self.h)
-
     def min_conditional_eig(self, fields: FieldState) -> float:
         """Most negative eigenvalue of the pointwise 2x2 conditional blocks."""
-        mean = 0.5 * (fields.p_plus + fields.p_minus)
-        rad = np.sqrt(
-            (0.5 * (fields.p_plus - fields.p_minus)) ** 2
-            + np.abs(fields.c_plus) ** 2
-        )
-        return float(np.min(mean - rad))
+        low, _ = eigvalsh_2x2(fields.p_plus, fields.p_minus, fields.c_plus)
+        return float(np.min(low))
 
     def integrate(
         self, initial: FieldState, cfg: IntegratorConfig
@@ -350,13 +352,14 @@ class FokkerPlanckEvolution:
             )
         sample_dt = cfg.sample_dt if cfg.sample_dt is not None else cfg.t_max / 200.0
         m = self.x.shape[0]
-        masses: list[float] = []
-        lows: list[float] = []
+        masses: list[np.ndarray] = []
+        lows: list[np.ndarray] = []
 
-        def record(y: np.ndarray) -> None:
-            fields = FieldState.unpack(y)
-            masses.append(self.mass(fields))
-            lows.append(self.min_conditional_eig(fields))
+        def record(stack: np.ndarray) -> None:
+            pp, pm = stack[:, :m].real, stack[:, m : 2 * m].real
+            masses.append((pp + pm).sum(axis=1) * self.h)
+            low, _ = eigvalsh_2x2(pp, pm, stack[:, 2 * m : 3 * m])
+            lows.append(low.min(axis=1))
 
         propagate = ExactPropagator(
             *self.population_edges(), 2 * m,
@@ -377,8 +380,8 @@ class FokkerPlanckEvolution:
         )
         return FieldTrajectory(
             times=np.array(times),
-            total_mass=np.array(masses),
-            min_conditional_eig=np.array(lows),
+            total_mass=np.concatenate(masses),
+            min_conditional_eig=np.concatenate(lows),
             final=FieldState.unpack(y),
             converged=converged,
             last_population_change=change,

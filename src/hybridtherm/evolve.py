@@ -13,10 +13,20 @@ the edge list, which also serves as the oracle.  The steppers "rk45"
 apply instead; they stay as independent oracles.
 
 run_samples is the one sample loop of both model families, the discrete
-generators here and the Fokker-Planck fields in continuum.  Its convergence
-monitor compares states a family-chosen stride of samples apart and stops
-the run once a full window of gaps sits below tolerance; integrate compares
-states one relaxation interval apart by trace distance.
+generators here and the Fokker-Planck fields in continuum.  It steps, checks
+finiteness and runs the convergence monitor at every sample, and hands the
+samples to the family's record in stacks of consecutive samples, so records
+are array expressions over blocks of samples.  The monitor compares states a
+family-chosen stride of samples apart and stops the run once a full window
+of gaps sits below tolerance; integrate compares states one relaxation
+interval apart by trace distance.
+
+integrate keeps its state in the conditional eigenbases: it rotates the
+start once and the final state back once, and every sample in between reads
+and writes only eigenbasis blocks.  Spectra, entropy and trace distances are
+invariant under that rotation, traces and classical marginals are sums of
+its diagonal, and the 2 x 2 spectra of every bundled model are taken in
+closed form (linalg.eigvalsh_2x2).
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import HybridGenerator, apply
-from .linalg import check_hermitian
-from .state import HybridState, block_trace_distance
+from .linalg import check_hermitian, eigvalsh_stack, trace_norm_stack
+from .state import HybridState
 
 
 class StiffIntegrationError(RuntimeError):
@@ -311,12 +321,12 @@ def _default_steps(gen: HybridGenerator, cfg: IntegratorConfig) -> tuple[float, 
     return dt, sample_dt
 
 
-def _entropy_clipped(blocks: np.ndarray) -> tuple[float, float]:
-    """(entropy with negatives clipped, most negative eigenvalue)."""
-    w = np.linalg.eigvalsh(blocks).reshape(-1)
-    low = float(np.min(w))
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w))), low
+# record sees stacks of at most this many bytes and at least one sample:
+# 2048 samples of the bundled two-level system, 110 of the lattice, 27 of
+# the Fokker-Planck fields, one from lattice half_width 1024.  That bounds
+# the record's arrays at every size; the bundled runs take as long at 2**16
+# and 2**20 bytes, and 1.25x to 3.4x as long at one sample per stack.
+_RECORD_BYTES = 2**18
 
 
 def run_samples(
@@ -327,18 +337,35 @@ def run_samples(
 
     Steps the packed state y from t = 0 to cfg.t_max on a uniform grid of
     spacing sample_dt, by the family's closed-form exact(y, interval), or by
-    RK4 (fixed step dt) or RK45 (first trial step dt) on rhs.  record(y)
-    sees every sample, the start included.  The monitor compares each sample
-    with the one stride samples earlier by gap(new, old) and stops the run
-    once cfg.convergence_window consecutive gaps fall below
-    cfg.convergence_tol.  A non-finite sample raises StiffIntegrationError.
+    RK4 (fixed step dt) or RK45 (first trial step dt) on rhs.  The monitor
+    compares each sample with the one stride samples earlier by
+    gap(new, old) and stops the run once cfg.convergence_window consecutive
+    gaps fall below cfg.convergence_tol.  A non-finite sample raises
+    StiffIntegrationError.  Stepping, the finiteness check and the monitor
+    act on every sample; record(stack) sees every sample, the start
+    included, as a (k, *y.shape) stack of consecutive samples, flushed when
+    it holds _RECORD_BYTES, when the monitor fires, at t_max and before a
+    non-finite sample raises.
 
     Returns (final state, sample times, whether the monitor fired, the last
     gap, inf before the first comparison).
     """
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise StiffIntegrationError(0.0, "non-finite initial state")
-    record(y)
+    block = max(1, _RECORD_BYTES // max(y.nbytes, 1))
+    pending: list[np.ndarray] = []
+
+    def flush() -> None:
+        if pending:
+            record(np.stack(pending))
+            pending.clear()
+
+    def keep(sample: np.ndarray) -> None:
+        pending.append(sample)
+        if len(pending) == block:
+            flush()
+
+    keep(y)
     times = [0.0]
     recent: deque[np.ndarray] = deque([y], maxlen=stride + 1)
     last_gap = math.inf
@@ -357,16 +384,19 @@ def run_samples(
                 rhs, y, t, t_next, h_adapt, cfg.rel_tol, cfg.abs_tol
             )
         t = t_next
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
+            flush()
             raise StiffIntegrationError(t, "non-finite sample")
         times.append(t)
-        record(y)
+        keep(y)
         recent.append(y)
         if len(recent) == stride + 1:
             last_gap = gap(recent[-1], recent[0])
             passes = passes + 1 if last_gap < cfg.convergence_tol else 0
             if passes >= cfg.convergence_window:
+                flush()
                 return y, times, True, last_gap
+    flush()
     return y, times, False, last_gap
 
 
@@ -383,9 +413,15 @@ def integrate(
     """
     if initial.num_labels != gen.num_labels or initial.dim_s != gen.dim_s:
         raise ValueError("initial state shape does not match generator")
+    # The loop state is the stack of eigenbasis blocks vh @ y @ v: the exact
+    # route never leaves it, and every record either reads its diagonals or
+    # is invariant under the rotation (spectra, trace distance).
+    v = gen.eigenvectors
+    vh = v.conj().transpose(0, 2, 1)
     start = np.array(initial.blocks, dtype=complex)
     if np.all(np.isfinite(start)):  # run_samples names a non-finite start
         check_hermitian(start, "initial state")
+        start = vh @ start @ v
     if target is not None:
         if target.blocks.shape != start.shape:
             raise ValueError("target shape does not match generator")
@@ -397,55 +433,59 @@ def integrate(
     stride = max(1, round(stride_t / sample_dt))
 
     L, d = gen.num_labels, gen.dim_s
-    v = gen.eigenvectors
-    vh = v.conj().transpose(0, 2, 1)
-    pair_list = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    records: dict[str, list] = {k: [] for k in ("trace", "entropy", "classical", "low")}
-    dists: list[float] = []
-    pops: list[np.ndarray] = []
-    cohs: list[np.ndarray] = []
+    diag = np.arange(d)
+    upper, lower = np.triu_indices(d, 1)
+    pair_list = list(zip(upper.tolist(), lower.tolist()))
+    goal = None if target is None else vh @ target.blocks @ v
+    parts: dict[str, list[np.ndarray]] = {
+        k: [] for k in ("trace", "entropy", "classical", "low", "dist", "pops", "cohs")
+    }
 
-    def record(arr: np.ndarray) -> None:
-        records["trace"].append(float(np.einsum("cii->", arr).real))
-        ent, low = _entropy_clipped(arr)
-        records["entropy"].append(ent)
-        records["low"].append(low)
-        records["classical"].append(np.einsum("cii->c", arr).real.copy())
-        if target is not None:
-            dists.append(block_trace_distance(arr, target.blocks))
+    def record(stack: np.ndarray) -> None:
+        pops = np.einsum("kcii->kci", stack).real
+        parts["trace"].append(pops.sum(axis=(1, 2)))
+        parts["classical"].append(pops.sum(axis=2))
+        w = eigvalsh_stack(stack)
+        parts["low"].append(w.min(axis=(1, 2)))
+        wlogw = np.log(w, out=np.zeros_like(w), where=w > 0.0) * w
+        parts["entropy"].append(-wlogw.sum(axis=(1, 2)))
+        if goal is not None:
+            parts["dist"].append(0.5 * trace_norm_stack(stack - goal).sum(axis=1))
         if cfg.record_eigenbasis:
-            s = vh @ arr @ v
-            pops.append(np.einsum("cii->ci", s).real.copy())
-            cohs.append(np.array([[s[c, b, a] for (a, b) in pair_list] for c in range(L)]))
+            parts["pops"].append(pops.copy())
+            parts["cohs"].append(stack[:, :, lower, upper])
 
     propagate = ExactPropagator(gen._src, gen._tgt, gen._rate, L * d, gen._multiplier)
-    diag = np.arange(d)
 
-    def exact(y: np.ndarray, interval: float) -> np.ndarray:
-        s = vh @ y @ v
+    def exact(s: np.ndarray, interval: float) -> np.ndarray:
         p, s = propagate(np.einsum("cii->ci", s).real.reshape(-1), s, interval)
         s[:, diag, diag] = p.reshape(L, d)
-        return v @ s @ vh
+        return s
 
-    def rhs(arr: np.ndarray) -> np.ndarray:
-        return apply(gen, HybridState(arr)).blocks
+    def rhs(s: np.ndarray) -> np.ndarray:
+        # the RK oracles step apply in the original basis
+        return vh @ apply(gen, HybridState(v @ s @ vh)).blocks @ v
 
-    y, times, converged, _ = run_samples(
+    def gap(new: np.ndarray, old: np.ndarray) -> float:
+        return 0.5 * float(np.sum(trace_norm_stack(new - old)))
+
+    s, times, converged, _ = run_samples(
         start, cfg, exact=exact, rhs=rhs, dt=dt, sample_dt=sample_dt,
-        stride=stride, gap=block_trace_distance, record=record,
+        stride=stride, gap=gap, record=record,
     )
+    series = {k: np.concatenate(blocks) if blocks else None for k, blocks in parts.items()}
     return Trajectory(
         times=np.array(times),
-        total_trace=np.array(records["trace"]),
-        entropy=np.array(records["entropy"]),
-        classical=np.array(records["classical"]),
-        min_eigenvalue=np.array(records["low"]),
-        dist_to_target=np.array(dists) if target is not None else None,
-        final_state=HybridState(y),
+        total_trace=series["trace"],
+        entropy=series["entropy"],
+        classical=series["classical"],
+        min_eigenvalue=series["low"],
+        dist_to_target=series["dist"],
+        final_state=HybridState(v @ s @ vh),
         converged=converged,
         converged_time=times[-1] if converged else None,
-        eig_populations=np.array(pops) if cfg.record_eigenbasis else None,
-        eig_coherences=np.array(cohs) if cfg.record_eigenbasis else None,
+        eig_populations=series["pops"],
+        eig_coherences=series["cohs"],
         coherence_pairs=pair_list if cfg.record_eigenbasis else [],
     )
 

@@ -129,7 +129,47 @@ def shifted_softmax(args: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def log_cosh(x: float) -> float:
-    """ln cosh(x), safe for large |x|."""
-    ax = abs(x)
+def log_cosh(x):
+    """ln cosh(x) elementwise, safe for large |x|."""
+    ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
+
+
+def center_radius_2x2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """(m, r) of the Hermitian 2x2 blocks [[a, conj(c)], [c, b]], elementwise.
+
+    The eigenvalues are m - r and m + r, with m = (a + b) / 2 and
+    r = sqrt(((a - b) / 2)**2 + |c|**2), so the trace norm is 2 max(|m|, r).
+    """
+    return 0.5 * (a + b), np.hypot(0.5 * (a - b), np.abs(c))
+
+
+def eigvalsh_2x2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (low, high) of the blocks of center_radius_2x2.
+
+    The root of larger magnitude is m + sign(m) r.  The other is taken as
+    det / (m + sign(m) r), which keeps its relative digits where m - r
+    would cancel; a zero block gives two zeros.
+    """
+    m, r = center_radius_2x2(a, b, c)
+    big = m + np.copysign(r, m)
+    det = a * b - (c.real**2 + c.imag**2)
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
+    return np.minimum(small, big), np.maximum(small, big)
+
+
+def eigvalsh_stack(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., d, d) Hermitian stack, read from the
+    lower triangle as np.linalg.eigvalsh does; in closed form at d = 2."""
+    if blocks.shape[-1] != 2:
+        return np.linalg.eigvalsh(blocks)
+    low, high = eigvalsh_2x2(blocks[..., 0, 0].real, blocks[..., 1, 1].real, blocks[..., 1, 0])
+    return np.stack([low, high], axis=-1)
+
+
+def trace_norm_stack(blocks: np.ndarray) -> np.ndarray:
+    """Trace norm of each block of a (..., d, d) Hermitian stack."""
+    if blocks.shape[-1] != 2:
+        return np.sum(np.abs(np.linalg.eigvalsh(blocks)), axis=-1)
+    m, r = center_radius_2x2(blocks[..., 0, 0].real, blocks[..., 1, 1].real, blocks[..., 1, 0])
+    return 2.0 * np.maximum(np.abs(m), r)

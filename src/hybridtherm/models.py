@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generator import HybridGenerator, TransitionSpec, build_generator
+from .linalg import log_cosh
 from .state import HybridHamiltonian
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 TAIL_WEIGHT = 1e-12
+# required_half_width scans spans of at most this many sites
+MAX_SCAN_SITES = 10_000_000
 
 MECHANISMS = ("a", "b", "c", "d", "e")
 # cross-label mechanisms as (eigenstate index in label 0, index in label 1);
@@ -124,34 +127,45 @@ class LatticeScenario:
         return self.energy_0 + self.delta_e * np.asarray(n, dtype=float) ** 2
 
 
-def _log_cosh_vec(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
-
-
 def site_log_weight(s: LatticeScenario, n) -> np.ndarray:
     """Unnormalized log of exp(-beta E_n) cosh(beta omega_n / 2)."""
     n = np.asarray(n, dtype=float)
-    return -s.beta * s.classical_energy(n) + _log_cosh_vec(
+    return -s.beta * s.classical_energy(n) + log_cosh(
         0.5 * s.beta * s.splitting(n)
     )
 
 
 def required_half_width(s: LatticeScenario) -> int:
-    """Smallest N whose omitted tail stays below the truncation budget."""
-    span = max(s.half_width, 8)
-    while True:
-        n = np.arange(-span, span + 1)
-        lw = site_log_weight(s, n)
-        # decrement of the log weight at the edge; positive once the
-        # quadratic energy dominates the linear cosh growth
+    """Smallest N whose omitted tail stays below the truncation budget.
+
+    The scan doubles its span from max(half_width, 8) up to MAX_SCAN_SITES
+    and stops at the first span whose edge decrement of the log weight
+    exceeds 0.05 and whose geometric tail bound meets a tenth of the budget.
+    The decrement at every span the scan can reach is evaluated first, so
+    weights that cannot decay within the cap are refused without a scan.
+    """
+    if not s.half_width <= MAX_SCAN_SITES:
+        raise ValueError(f"half_width exceeds {MAX_SCAN_SITES:,}")
+    spans = [max(s.half_width, 8)]
+    while 2 * spans[-1] <= MAX_SCAN_SITES:
+        spans.append(2 * spans[-1])
+    edge = np.array(spans, dtype=float)
+    # decrement of the log weight at the edge; positive once the quadratic
+    # energy dominates the cosh growth, which is at most beta |delta_omega| / 2
+    # per site
+    decrement = site_log_weight(s, edge - 1.0) - site_log_weight(s, edge)
+    for span in (span for span, dec in zip(spans, decrement) if dec > 0.05):
+        lw = site_log_weight(s, np.arange(-span, span + 1))
         dec = lw[-2] - lw[-1]
         edge_ratio = np.exp(lw[-1] - lw.max())
         if dec > 0.05 and edge_ratio * np.exp(-dec) / (1 - np.exp(-dec)) < 0.1 * TAIL_WEIGHT:
             break
-        span *= 2
-        if span > 10_000_000:
-            raise ValueError("site weights do not decay; check delta_e > 0")
+    else:
+        raise ValueError(
+            f"site weights do not decay within {MAX_SCAN_SITES:,} sites: the "
+            f"edge decrement of the log weight reaches {np.max(decrement):.3g} "
+            "and must exceed 0.05; check delta_e > 0"
+        )
     w = np.exp(lw - lw.max())
     total = w.sum()
     # tails[j]: weight beyond half width span - j, each side summed inward

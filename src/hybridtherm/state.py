@@ -111,12 +111,7 @@ def hybrid_trace_distance(a: HybridState, b: HybridState) -> float:
         raise ValueError(f"shape mismatch {a.blocks.shape} vs {b.blocks.shape}")
     check_hermitian(a.blocks, "first argument")
     check_hermitian(b.blocks, "second argument")
-    return block_trace_distance(a.blocks, b.blocks)
-
-
-def block_trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """hybrid_trace_distance of (L, d, d) stacks known to be Hermitian, unchecked."""
-    w = np.linalg.eigvalsh(a - b)
+    w = np.linalg.eigvalsh(a.blocks - b.blocks)
     return sum((0.5 * np.sum(np.abs(w), axis=1)).tolist())
 
 

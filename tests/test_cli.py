@@ -720,6 +720,58 @@ class TestIntegerFields:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutOfRangeInputs:
+    # each once ended in a 22-25 line traceback with exit 1
+    @pytest.mark.parametrize(
+        "scenario, block, key, token, message",
+        [
+            ("lattice", "lattice", "omega_0", "1e300", "site weights do not decay"),
+            ("lattice", "lattice", "half_width", "1" + "0" * 300, "half_width exceeds"),
+            ("fokker_planck", "fokker_planck", "delta_x", "1e300", "no finite diffusion rate"),
+            ("fokker_planck", "fokker_planck", "x_max", "1e-300", "no finite diffusion rate"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, scenario, block, key, token, message):
+        data = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        data[block][key] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data).replace('"@"', token), encoding="utf-8")
+        code = cli.main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert not (tmp_path / "out").exists()
+
+
+class TestCsvCells:
+    """Every data cell of the CSV outputs parses as a number."""
+
+    @staticmethod
+    def cells(path):
+        header, *rows = path.read_text(encoding="utf-8").strip().splitlines()
+        assert rows
+        return [cell for row in rows for cell in row.split(",")]
+
+    def test_conditionals_csv(self, tmp_path):
+        out = tmp_path / "out"
+        scenario = str(SCENARIOS / "lattice.json")
+        assert cli.main(["thermal", "--scenario", scenario, "--out", str(out)]) == 0
+        cells = self.cells(out / "conditionals.csv")
+        assert len(cells) == 37 * 4 * 5
+        values = [float(cell) for cell in cells]
+        assert all(np.isfinite(values))
+
+    def test_fig2_profiles(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["fig2", "--out", str(out), "--points", "101"]) == 0
+        paths = sorted(out.glob("profile_*.csv"))
+        assert len(paths) == 4
+        for path in paths:
+            cells = self.cells(path)
+            assert len(cells) == 101 * 3
+            assert all(np.isfinite([float(cell) for cell in cells]))
+
+
 def _mutants(node, path=()):
     """(path, replacement) pairs: every node of a scenario replaced by values
     of the wrong type, below the bounds, of the wrong length and repeated

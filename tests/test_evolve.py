@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hybridtherm import cli, evolve
+from hybridtherm import cli, continuum, evolve
+from hybridtherm.continuum import FieldState
 from hybridtherm.evolve import (
     ExactPropagator,
     IntegratorConfig,
@@ -23,6 +24,7 @@ from hybridtherm.models import LatticeScenario, TlsScenario, build_lattice, buil
 from hybridtherm.state import HybridState, hybrid_trace_distance
 from hybridtherm.thermal import hybrid_thermal
 from hybridtherm.verify import random_hybrid_state
+from test_generator import random_generator
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -419,6 +421,142 @@ class TestDenseRoute:
         # dense columns hold the mass at every sample
         traj = self.run_bundled("fokker_planck")
         assert np.max(np.abs(traj.total_mass - 1.0)) < 1e-13
+
+
+def spy_records(monkeypatch, module=evolve):
+    """Copies of the stacks that integrate's run_samples hands to record."""
+    stacks = []
+    real = module.run_samples
+
+    def spy(y, cfg, *, record, **kwargs):
+        def keep(stack):
+            stacks.append(stack.copy())
+            record(stack)
+
+        return real(y, cfg, record=keep, **kwargs)
+
+    monkeypatch.setattr(module, "run_samples", spy)
+    return stacks
+
+
+class TestEigenbasisRecords:
+    """Records taken in the eigenbases, against eigvalsh in the original basis."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_records_match_eigvalsh(self, rng, monkeypatch, dim):
+        h, gen = random_generator(rng, num_labels=3, dim=dim, num_pairs=8)
+        target = hybrid_thermal(h, gen.beta)
+        stacks = spy_records(monkeypatch)
+        cfg = IntegratorConfig(
+            t_max=6.0, sample_dt=0.25, convergence_tol=0.0, record_eigenbasis=True
+        )
+        traj = integrate(gen, random_hybrid_state(rng, 3, dim), cfg, target=target)
+        s = np.concatenate(stacks)
+        v = gen.eigenvectors
+        y = v @ s @ v.conj().transpose(0, 2, 1)
+        assert y.shape == (traj.times.size, 3, dim, dim)
+        w = np.linalg.eigvalsh(y)
+        wlogw = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
+        want = {
+            "total_trace": np.einsum("kcii->k", y).real,
+            "classical": np.einsum("kcii->kc", y).real,
+            "entropy": -wlogw.sum(axis=(1, 2)),
+            "min_eigenvalue": w.min(axis=(1, 2)),
+            "dist_to_target": [hybrid_trace_distance(HybridState(b), target) for b in y],
+            "eig_populations": np.einsum("kcii->kci", s).real,
+        }
+        for name, value in want.items():
+            assert np.max(np.abs(getattr(traj, name) - value)) < 1e-12, name
+        upper, lower = np.triu_indices(dim, 1)
+        assert np.array_equal(traj.eig_coherences, s[:, :, lower, upper])
+        assert np.max(np.abs(traj.final_state.blocks - y[-1])) < 1e-15
+        assert np.min(w) > -1e-12 and np.max(np.abs(want["total_trace"] - 1.0)) < 1e-12
+
+
+class TestRecordBlocks:
+    """Runs that end at, one sample before and one after a block boundary
+    record exactly what one record call over the whole run records."""
+
+    FIELDS = ("times", "total_trace", "entropy", "classical", "min_eigenvalue",
+              "dist_to_target")
+
+    def run(self, monkeypatch, block, cfg):
+        _, gen = cli.build_discrete(cli.load_scenario(str(SCENARIOS / "tls.json")))
+        start = coherent_start(gen)
+        monkeypatch.setattr(evolve, "_RECORD_BYTES", block * start.blocks.nbytes)
+        with monkeypatch.context() as patch:
+            stacks = spy_records(patch)
+            traj = integrate(gen, start, cfg, target=hybrid_thermal(gen.hamiltonian, gen.beta))
+        return traj, [len(stack) for stack in stacks]
+
+    def assert_same(self, traj, whole):
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(traj, name), getattr(whole, name)), name
+        assert np.array_equal(traj.final_state.blocks, whole.final_state.blocks)
+        assert traj.converged_time == whole.converged_time
+
+    @pytest.mark.parametrize("intervals, sizes", [(7, [4, 4]), (6, [4, 3]), (8, [4, 4, 1])])
+    def test_stop_at_t_max(self, monkeypatch, intervals, sizes):
+        cfg = IntegratorConfig(t_max=0.5 * intervals, sample_dt=0.5, convergence_tol=0.0)
+        whole, one = self.run(monkeypatch, 10**6, cfg)
+        assert one == [intervals + 1] and not whole.converged
+        traj, got = self.run(monkeypatch, 4, cfg)
+        assert got == sizes
+        self.assert_same(traj, whole)
+
+    @pytest.mark.parametrize("block, sizes", [(55, [55]), (56, [55]), (54, [54, 1])])
+    def test_monitor_stop(self, monkeypatch, block, sizes):
+        cfg = IntegratorConfig(t_max=200.0, sample_dt=0.5, convergence_tol=1e-10)
+        whole, one = self.run(monkeypatch, 10**6, cfg)
+        assert whole.converged and whole.converged_time == 27.0 and one == [55]
+        traj, got = self.run(monkeypatch, block, cfg)
+        assert got == sizes
+        self.assert_same(traj, whole)
+
+    @pytest.mark.parametrize("block, sizes", [(533, [533]), (534, [533]), (532, [532, 1])])
+    def test_fokker_planck_monitor_stop(self, monkeypatch, block, sizes):
+        scenario = cli.load_scenario(str(SCENARIOS / "fokker_planck.json"))
+        _, evo = cli.build_continuum(scenario)
+        cfg = IntegratorConfig(**scenario["integrator"])
+        start = evo.polarized_fields()
+        whole = evo.integrate(start, cfg)
+        assert whole.converged and whole.times.size == 533
+        monkeypatch.setattr(evolve, "_RECORD_BYTES", block * start.pack().nbytes)
+        stacks = spy_records(monkeypatch, continuum)
+        traj = evo.integrate(start, cfg)
+        assert [len(stack) for stack in stacks] == sizes
+        for name in ("times", "total_mass", "min_conditional_eig"):
+            assert np.array_equal(getattr(traj, name), getattr(whole, name)), name
+        # the stacked records are the per-sample methods
+        fields = [FieldState.unpack(y) for y in stacks[0]]
+        k = len(fields)
+        mass = [(f.p_plus + f.p_minus).sum() * evo.h for f in fields]
+        assert np.array_equal(traj.total_mass[:k], mass)
+        assert np.array_equal(traj.min_conditional_eig[:k], [evo.min_conditional_eig(f) for f in fields])
+
+    def test_non_finite_sample_flushes_what_came_before(self, monkeypatch):
+        monkeypatch.setattr(evolve, "_RECORD_BYTES", 4 * 24)
+        seen = []
+
+        def exact(y, interval):
+            return y + 1.0 if y[0] < 5.0 else np.full_like(y, np.inf)
+
+        with pytest.raises(StiffIntegrationError, match="non-finite sample at t = 6"):
+            run_samples(
+                np.zeros(3), IntegratorConfig(t_max=10.0), exact=exact, rhs=None,
+                dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: 1.0,
+                record=seen.append,
+            )
+        assert [stack[:, 0].tolist() for stack in seen] == [[0, 1, 2, 3], [4, 5]]
+
+    def test_one_sample_per_block_past_the_byte_cap(self):
+        seen = []
+        y = np.zeros(evolve._RECORD_BYTES // 8 + 1)
+        run_samples(
+            y, IntegratorConfig(t_max=2.0), exact=lambda y, dt: y, rhs=None,
+            dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: 1.0, record=seen.append,
+        )
+        assert [stack.shape for stack in seen] == [(1, y.size)] * 3
 
 
 class TestTrajectoryCsv:

@@ -7,12 +7,15 @@ from hybridtherm.linalg import (
     NonHermitianError,
     check_hermitian,
     eigh,
+    eigvalsh_2x2,
+    eigvalsh_stack,
     frobenius,
     herm_exp,
     log_cosh,
     logsumexp,
     shifted_softmax,
     trace_distance,
+    trace_norm_stack,
 )
 from hybridtherm.verify import random_hermitian
 
@@ -148,6 +151,10 @@ class TestScalarHelpers:
         x = 1e-4
         assert abs(log_cosh(x) - np.log(np.cosh(x))) < 1e-15
 
+    def test_log_cosh_elementwise(self):
+        x = np.array([-5000.0, -3.0, -1e-4, 0.0, 1e-4, 0.7, 5000.0])
+        assert np.array_equal(log_cosh(x), [log_cosh(float(v)) for v in x])
+
 
 class TestCheckHermitian:
     def test_accepts_hermitian(self, rng):
@@ -184,3 +191,76 @@ class TestCheckHermitian:
         big = 1e8 * random_hermitian(rng, 2)
         big[0, 1] += 0.5 * HERMITICITY_RTOL * np.max(np.abs(big))
         check_hermitian(np.stack([big, np.eye(2)]), "m")
+
+
+def exact_roots(a, b, c):
+    """Both eigenvalues of [[a, conj(c)], [c, b]] to 50 digits."""
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 50
+    a, b = Decimal(float(a)), Decimal(float(b))
+    c2 = Decimal(float(c.real)) ** 2 + Decimal(float(c.imag)) ** 2
+    r = (((a - b) / 2) ** 2 + c2).sqrt()
+    return float((a + b) / 2 - r), float((a + b) / 2 + r)
+
+
+class TestClosedForm2x2:
+    @staticmethod
+    def parts(blocks):
+        return blocks[..., 0, 0].real, blocks[..., 1, 1].real, blocks[..., 1, 0]
+
+    def test_matches_eigvalsh_on_random_blocks(self, rng):
+        blocks = np.stack([random_hermitian(rng, 2) * 10.0 ** rng.uniform(-6, 6) for _ in range(500)])
+        low, high = eigvalsh_2x2(*self.parts(blocks))
+        want = np.linalg.eigvalsh(blocks)
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.abs(low - want[:, 0]) <= 2e-15 * scale)
+        assert np.all(np.abs(high - want[:, 1]) <= 2e-15 * scale)
+        assert np.array_equal(eigvalsh_stack(blocks), np.stack([low, high], axis=-1))
+
+    def test_near_degenerate_blocks(self, rng):
+        base = rng.uniform(-2.0, 2.0, size=200)
+        split = 10.0 ** rng.uniform(-17, -8, size=200)
+        c = split * np.exp(2j * np.pi * rng.random(200))
+        low, high = eigvalsh_2x2(base, base + split, c)
+        blocks = np.zeros((200, 2, 2), dtype=complex)
+        blocks[:, 0, 0], blocks[:, 1, 1] = base, base + split
+        blocks[:, 1, 0], blocks[:, 0, 1] = c, c.conj()
+        want = np.linalg.eigvalsh(blocks)
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.abs(low - want[:, 0]) <= 2e-15 * scale)
+        assert np.all(np.abs(high - want[:, 1]) <= 2e-15 * scale)
+        assert np.all(low <= high)
+
+    def test_zero_blocks_give_zero(self):
+        zero = np.zeros(3)
+        with np.errstate(all="raise"):
+            low, high = eigvalsh_2x2(zero, zero, zero.astype(complex))
+        assert np.array_equal(low, zero) and np.array_equal(high, zero)
+        assert np.array_equal(trace_norm_stack(np.zeros((3, 2, 2), dtype=complex)), zero)
+
+    def test_tiny_root_keeps_relative_digits(self):
+        # nearly pure states: the lower root is far below the rounding of m - r
+        a = np.array([1.0, 0.7, 1.0, -1e-3])
+        b = np.array([1e-18, 2e-20, 1e-30, -3.0])
+        c = np.array([1e-12j, 3e-12 + 4e-12j, 0.0, 1e-14])
+        low, high = eigvalsh_2x2(a, b, c)
+        for i in range(a.size):
+            want = exact_roots(a[i], b[i], c[i])
+            k = int(abs(want[1]) < abs(want[0]))  # the root nearer zero
+            got = (low[i], high[i])[k]
+            assert abs(got - want[k]) <= 1e-15 * abs(want[k]), (i, got, want)
+        # m - r cancels to the rounding of the larger root
+        m = 0.5 * (a[0] + b[0])
+        assert abs(m - np.hypot(0.5 * (a[0] - b[0]), abs(c[0])) - low[0]) > 0.5 * low[0]
+
+    def test_non_finite_block_stays_non_finite(self):
+        low, high = eigvalsh_2x2(np.array([np.nan, 1.0]), np.array([0.0, 1.0]), np.zeros(2, complex))
+        assert np.isnan(low[0]) and np.isnan(high[0]) and low[1] == high[1] == 1.0
+
+    def test_trace_norms_match_eigvalsh(self, rng):
+        for d in (2, 3):
+            blocks = np.stack([random_hermitian(rng, d) for _ in range(50)])
+            want = np.sum(np.abs(np.linalg.eigvalsh(blocks)), axis=1)
+            assert np.max(np.abs(trace_norm_stack(blocks) - want)) < 1e-14
+        assert np.array_equal(eigvalsh_stack(blocks), np.linalg.eigvalsh(blocks))

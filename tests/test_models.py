@@ -157,6 +157,66 @@ class TestTruncation:
         with pytest.raises(ValueError):
             required_half_width(s)
 
+    @pytest.mark.parametrize(
+        "params",
+        [dict(delta_e=1e-12, delta_omega=0.5), dict(omega_0=1e300), dict(delta_e=0.0)],
+    )
+    def test_non_decay_refused_without_a_scan(self, params, monkeypatch):
+        import hybridtherm.models as models
+
+        scanned = []
+        real = models.site_log_weight
+        monkeypatch.setattr(
+            models, "site_log_weight", lambda s, n: scanned.append(np.size(n)) or real(s, n)
+        )
+        s = LatticeScenario(beta=1.0, half_width=18, **{"delta_e": 0.15, **params})
+        with pytest.raises(ValueError, match="do not decay within 10,000,000 sites"):
+            required_half_width(s)
+        # only the edge pair of each reachable span, 18 * 2**k for k = 0 .. 19
+        assert scanned == [20, 20]
+
+    def test_half_width_above_the_scan_cap_refused(self):
+        s = LatticeScenario(beta=1.0, half_width=10**300, delta_e=0.15)
+        with pytest.raises(ValueError, match="half_width exceeds 10,000,000"):
+            required_half_width(s)
+
+    @staticmethod
+    def doubling_scan(s):
+        """The scan that doubles its span until the edge decays, checked
+        span by span."""
+        span = max(s.half_width, 8)
+        while True:
+            lw = site_log_weight(s, np.arange(-span, span + 1))
+            dec = lw[-2] - lw[-1]
+            edge_ratio = np.exp(lw[-1] - lw.max())
+            if dec > 0.05 and edge_ratio * np.exp(-dec) / (1 - np.exp(-dec)) < 0.1 * TAIL_WEIGHT:
+                break
+            span *= 2
+        w = np.exp(lw - lw.max())
+        left = np.cumsum(w[: span - 1])
+        right = np.cumsum(w[: -span : -1])
+        tails = np.concatenate([[0.0], left + right])
+        over = np.flatnonzero(tails / w.sum() >= 0.9 * TAIL_WEIGHT)
+        return (span - int(over[0]) if over.size else 0) + 1
+
+    def test_same_half_width_as_the_doubling_scan(self):
+        bundled = LatticeScenario(
+            beta=1.0, half_width=18, omega_0=1.0, delta_omega=0.15, delta_e=0.15
+        )
+        assert required_half_width(bundled) == self.doubling_scan(bundled) == 13
+        grid = [
+            LatticeScenario(
+                beta=beta, half_width=half, omega_0=omega_0, delta_omega=dw, delta_e=de
+            )
+            for beta in (0.3, 1.0, 3.0)
+            for de in (1e-3, 0.02, 0.15, 1.0)
+            for dw in (0.0, 0.15, -0.5, 2.0)
+            for omega_0 in (0.0, -3.0)
+            for half in (4, 18, 100)
+        ]
+        for s in grid:
+            assert required_half_width(s) == self.doubling_scan(s), s
+
 
 class TestLatticeStationary:
     def test_marginal_matches_closed_form(self):
