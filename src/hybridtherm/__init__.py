@@ -18,7 +18,6 @@ from .evolve import (
 from .generator import (
     DegenerateStationaryError,
     HybridGenerator,
-    RatePair,
     TransitionSpec,
     apply,
     bipartite_superoperator,
@@ -65,7 +64,6 @@ __all__ = [
     "IntegratorConfig",
     "LatticeScenario",
     "NonConvergedError",
-    "RatePair",
     "StiffIntegrationError",
     "ThermalDecomposition",
     "TlsScenario",

@@ -385,7 +385,10 @@ def _evolve_discrete(args, scenario) -> int:
     rng = np.random.default_rng(args.seed)
     state = _initial_discrete(scenario, h, gen, beta, rng)
     target = hybrid_thermal(h, beta)
-    traj = integrate(gen, state, cfg, target=target)
+    try:
+        traj = integrate(gen, state, cfg, target=target)
+    except ValueError as err:
+        raise InputError(str(err)) from err
     out = Path(args.out)
     _write(out / "trajectory.csv", trajectory_csv(traj))
     final = state_to_json_dict(traj.final_state)
@@ -418,7 +421,10 @@ def _evolve_continuum(args, scenario) -> int:
     if kind not in builders:
         raise InputError(f"fokker_planck supports initial states {sorted(builders)}")
     state = builders[kind]()
-    traj = evo.integrate(state, cfg)
+    try:
+        traj = evo.integrate(state, cfg)
+    except ValueError as err:
+        raise InputError(str(err)) from err
     out = Path(args.out)
     lines = ["t,total_mass,min_conditional_eig"]
     for t, m, e in zip(traj.times, traj.total_mass, traj.min_conditional_eig):

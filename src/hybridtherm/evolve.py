@@ -328,6 +328,14 @@ def _default_steps(gen: HybridGenerator, cfg: IntegratorConfig) -> tuple[float, 
 # and 2**20 bytes, and 1.25x to 3.4x as long at one sample per stack.
 _RECORD_BYTES = 2**18
 
+# The default grids have at most 5,000 intervals (integrate) and 200 (the
+# Fokker-Planck fields); the bundled scenarios ask for 400 (tls and lattice)
+# and 600 (Fokker-Planck).  A million samples already take minutes at tens of
+# microseconds each; far beyond it a run never ends (sample_dt 1e-300 asks
+# for 1e302 intervals) and the monitor's deque of stride + 1 samples
+# overflows its length.
+MAX_SAMPLE_INTERVALS = 10**6
+
 
 def run_samples(
     y: np.ndarray, cfg: IntegratorConfig, *, exact, rhs, dt: float,
@@ -345,11 +353,18 @@ def run_samples(
     act on every sample; record(stack) sees every sample, the start
     included, as a (k, *y.shape) stack of consecutive samples, flushed when
     it holds _RECORD_BYTES, when the monitor fires, at t_max and before a
-    non-finite sample raises.
+    non-finite sample raises.  A grid of more than MAX_SAMPLE_INTERVALS
+    intervals raises ValueError before any step.
 
     Returns (final state, sample times, whether the monitor fired, the last
     gap, inf before the first comparison).
     """
+    intervals = cfg.t_max / sample_dt
+    if not intervals <= MAX_SAMPLE_INTERVALS:
+        raise ValueError(
+            f"sample grid of {intervals:.3g} intervals exceeds the cap of "
+            f"{MAX_SAMPLE_INTERVALS:,}"
+        )
     if not np.isfinite(y).all():
         raise StiffIntegrationError(0.0, "non-finite initial state")
     block = max(1, _RECORD_BYTES // max(y.nbytes, 1))

@@ -37,17 +37,19 @@ class DegenerateStationaryError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransitionSpec:
-    """One enabled transition pair with its downhill base rate.
+    """Enabled transition pairs with their downhill base rates.
 
     Endpoints are (label, eigenstate index) pairs; equal labels give a
     thermal transition inside one block, distinct labels a classical jump.
+    The fields are scalars for one pair or arrays, broadcast against each
+    other, for many.
     """
 
-    label_a: int
-    index_a: int
-    label_b: int
-    index_b: int
-    base_rate: float
+    label_a: int | np.ndarray
+    index_a: int | np.ndarray
+    label_b: int | np.ndarray
+    index_b: int | np.ndarray
+    base_rate: float | np.ndarray
 
     @classmethod
     def within(cls, label: int, i: int, j: int, rate: float) -> "TransitionSpec":
@@ -59,38 +61,16 @@ class TransitionSpec:
     ) -> "TransitionSpec":
         return cls(label_a, i, label_b, j, rate)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.label_a == self.label_b
-
-
-@dataclass(frozen=True)
-class RatePair:
-    """Resolved rates of one transition pair.
-
-    hi/lo are (label, index) endpoints ordered by full conditional
-    eigenvalue; gamma_down acts hi -> lo and gamma_up lo -> hi with
-    gamma_up = gamma_down * exp(-beta * delta).
-    """
-
-    hi: tuple[int, int]
-    lo: tuple[int, int]
-    gamma_down: float
-    gamma_up: float
-    delta: float
-
-    def directed(self):
-        """Yield (source, target, rate) with zero rates dropped."""
-        if self.gamma_down > 0.0:
-            yield self.hi, self.lo, self.gamma_down
-        if self.gamma_up > 0.0:
-            yield self.lo, self.hi, self.gamma_up
-
 
 @dataclass
 class HybridGenerator:
     """Conditional eigenbases stacked as (L, d) eigenvalues and (L, d, d)
-    eigenvectors, and the resolved transition pairs.
+    eigenvectors, and the rate table of the enabled pairs.
+
+    The rate table holds, per pair, the (label, index) endpoints hi and lo
+    as (E, 2) arrays ordered by full conditional eigenvalue, the downhill
+    rate gamma_down (hi -> lo), the uphill rate gamma_up = gamma_down *
+    exp(-beta * delta) (lo -> hi) and the gap delta, as (E,) arrays.
 
     The caches filled by _build_caches are the linear-block core: the
     directed transitions as one flat edge list (_src, _tgt, _rate) over
@@ -100,9 +80,13 @@ class HybridGenerator:
 
     hamiltonian: HybridHamiltonian
     beta: float
-    rate_pairs: list[RatePair]
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
+    hi: np.ndarray = field(repr=False)
+    lo: np.ndarray = field(repr=False)
+    gamma_down: np.ndarray = field(repr=False)
+    gamma_up: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
     _src: np.ndarray = field(repr=False, default=None)
     _tgt: np.ndarray = field(repr=False, default=None)
     _rate: np.ndarray = field(repr=False, default=None)
@@ -117,9 +101,15 @@ class HybridGenerator:
     def dim_s(self) -> int:
         return self.hamiltonian.dim_s
 
-    def directed_transitions(self):
-        for pair in self.rate_pairs:
-            yield from pair.directed()
+    def directed_transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed edges read from the rate table: (M, 2) (label, index)
+        sources and targets and (M,) rates, each pair's down edge before its
+        up edge, zero rates dropped."""
+        src = np.stack([self.hi, self.lo], axis=1).reshape(-1, 2)
+        tgt = np.stack([self.lo, self.hi], axis=1).reshape(-1, 2)
+        rate = np.stack([self.gamma_down, self.gamma_up], axis=1).reshape(-1)
+        keep = rate > 0.0
+        return src[keep], tgt[keep], rate[keep]
 
     def max_rate(self) -> float:
         return float(self._rate.max()) if self._rate.size else 0.0
@@ -133,90 +123,72 @@ class HybridGenerator:
         Recomputed from the stored eigenvalues, so a corrupted rate table
         shows up directly.  A NaN rate gives NaN.
         """
-        defects = [0.0]
-        for pair in self.rate_pairs:
-            if pair.gamma_down == 0.0:
-                continue
-            delta = (
-                self.eigenvalues[pair.hi[0], pair.hi[1]]
-                - self.eigenvalues[pair.lo[0], pair.lo[1]]
-            )
-            expected = pair.gamma_down * math.exp(-self.beta * delta)
-            denom = max(expected, np.finfo(float).tiny)
-            defects.append(abs(pair.gamma_up - expected) / denom)
-        return float(np.max(defects))
-
-
-def _resolve_pair(
-    spec: TransitionSpec, eigenvalues: np.ndarray, beta: float
-) -> RatePair:
-    ea = eigenvalues[spec.label_a, spec.index_a]
-    eb = eigenvalues[spec.label_b, spec.index_b]
-    if ea >= eb:
-        hi, lo = (spec.label_a, spec.index_a), (spec.label_b, spec.index_b)
-        delta = float(ea - eb)
-    else:
-        hi, lo = (spec.label_b, spec.index_b), (spec.label_a, spec.index_a)
-        delta = float(eb - ea)
-    kappa = float(spec.base_rate)
-    return RatePair(
-        hi=hi,
-        lo=lo,
-        gamma_down=kappa,
-        gamma_up=kappa * math.exp(-beta * delta),
-        delta=delta,
-    )
+        e = self.eigenvalues
+        delta = e[self.hi[:, 0], self.hi[:, 1]] - e[self.lo[:, 0], self.lo[:, 1]]
+        expected = self.gamma_down * np.exp(-self.beta * delta)
+        defects = np.abs(self.gamma_up - expected) / np.maximum(
+            expected, np.finfo(float).tiny
+        )
+        return float(np.max(defects, initial=0.0))
 
 
 def build_generator(
     h: HybridHamiltonian, specs: list[TransitionSpec], beta: float
 ) -> HybridGenerator:
-    """Diagonalize the conditionals and resolve every transition pair."""
+    """Diagonalize the conditionals and resolve the rate table."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    d = h.dim_s
+    L, d = h.num_labels, h.dim_s
     es = eigh(h.conditionals(), "conditional")
     eps = es.eigenvalues
 
-    pairs = []
-    for spec in specs:
-        for lab, idx in ((spec.label_a, spec.index_a), (spec.label_b, spec.index_b)):
-            if not 0 <= lab < h.num_labels:
-                raise ValueError(f"label {lab} outside 0..{h.num_labels - 1}")
-            if not 0 <= idx < d:
-                raise ValueError(f"eigenstate index {idx} outside 0..{d - 1}")
-        if spec.base_rate < 0:
-            raise ValueError(f"base rate must be >= 0, got {spec.base_rate!r}")
-        if spec.is_diagonal and spec.index_a == spec.index_b:
-            raise ValueError("transition endpoints must differ")
-        if spec.base_rate == 0.0:
-            continue
-        pairs.append(_resolve_pair(spec, eps, beta))
+    parts = [
+        np.broadcast_arrays(s.label_a, s.index_a, s.label_b, s.index_b, s.base_rate)
+        for s in specs
+    ]
+    la, ia, lb, ib = (
+        np.concatenate([np.zeros(0, np.intp)] + [p[k].ravel() for p in parts])
+        for k in range(4)
+    )
+    kappa = np.concatenate([np.zeros(0)] + [p[4].ravel() for p in parts]).astype(float)
+    labels, indices = np.stack([la, lb], axis=1), np.stack([ia, ib], axis=1)
+    bad = labels[(labels < 0) | (labels >= L)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} outside 0..{L - 1}")
+    bad = indices[(indices < 0) | (indices >= d)]
+    if bad.size:
+        raise ValueError(f"eigenstate index {bad[0]} outside 0..{d - 1}")
+    bad = kappa[~(np.isfinite(kappa) & (kappa >= 0))]
+    if bad.size:
+        raise ValueError(f"base rate must be finite and >= 0, got {float(bad[0])!r}")
+    if np.any((la == lb) & (ia == ib)):
+        raise ValueError("transition endpoints must differ")
 
+    keep = kappa != 0.0
+    a, b = np.stack([la, ia], axis=1)[keep], np.stack([lb, ib], axis=1)[keep]
+    kappa = kappa[keep]
+    ea, eb = eps[a[:, 0], a[:, 1]], eps[b[:, 0], b[:, 1]]
+    a_hi = (ea >= eb)[:, None]
+    delta = np.abs(ea - eb)
     gen = HybridGenerator(
         hamiltonian=h,
         beta=beta,
-        rate_pairs=pairs,
         eigenvalues=eps,
         eigenvectors=es.eigenvectors,
+        hi=np.where(a_hi, a, b),
+        lo=np.where(a_hi, b, a),
+        gamma_down=kappa,
+        gamma_up=kappa * np.exp(-beta * delta),
+        delta=delta,
     )
     _build_caches(gen)
     return gen
 
 
-def _transitions(gen: HybridGenerator) -> tuple[np.ndarray, np.ndarray]:
-    """Directed transitions read from the RatePairs: (source label, source
-    index, target label, target index) as four index columns, and the rates."""
-    table = np.array(
-        [(*s, *t, r) for s, t, r in gen.directed_transitions()], dtype=float
-    ).reshape(-1, 5)
-    return table[:, :4].astype(np.intp).T, table[:, 4].copy()
-
-
 def _build_caches(gen: HybridGenerator) -> None:
     L, d = gen.num_labels, gen.dim_s
-    (cs, ks, ct, kt), gen._rate = _transitions(gen)
-    gen._src, gen._tgt = cs * d + ks, ct * d + kt
+    src, tgt, gen._rate = gen.directed_transitions()
+    gen._src, gen._tgt = src[:, 0] * d + src[:, 1], tgt[:, 0] * d + tgt[:, 1]
     outflow = np.bincount(gen._src, gen._rate, minlength=L * d).reshape(L, d)
     freq = gen.eigenvalues[:, :, None] - gen.eigenvalues[:, None, :]
     decay = 0.5 * (outflow[:, :, None] + outflow[:, None, :])
@@ -260,7 +232,7 @@ def basis_change_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def collisional_apply(gen: HybridGenerator, state: HybridState) -> HybridState:
     """Same derivative via explicit operator products, for equivalence checks.
 
-    The transitions come from the RatePairs, not from apply's edge list.
+    The transitions come from the rate table, not from apply's edge list.
     Every jump acts on its source block moved into the target label's basis
     by the basis-change unitary (the identity within one label).  All
     transitions are stacked and their losses and gains scattered at once.
@@ -270,7 +242,8 @@ def collisional_apply(gen: HybridGenerator, state: HybridState) -> HybridState:
     rho = state.blocks
     h = gen.hamiltonian.conditionals()
     out = -1j * (h @ rho - rho @ h)
-    (cs, ks, ct, kt), rate = _transitions(gen)
+    src, tgt, rate = gen.directed_transitions()
+    (cs, ks), (ct, kt) = src.T, tgt.T
     rate = rate[:, None, None]
     vecs = gen.eigenvectors
     src_vec = vecs[cs, :, ks]
@@ -327,7 +300,7 @@ def bipartite_superoperator(gen: HybridGenerator, max_dim: int = 256) -> np.ndar
     eye = np.eye(dim)
     h_full = embed_state(HybridState(gen.hamiltonian.conditionals()))
     sup = -1j * (np.kron(h_full, eye) - np.kron(eye, h_full.T))
-    for (cs, ks), (ct, kt), rate in gen.directed_transitions():
+    for (cs, ks), (ct, kt), rate in zip(*gen.directed_transitions()):
         u_src = np.zeros(dim, dtype=complex)
         u_src[cs * d : (cs + 1) * d] = gen.eigenvectors[cs][:, ks]
         u_tgt = np.zeros(dim, dtype=complex)

@@ -2,10 +2,11 @@
 
 The two-level models couple a qubit to two classical configurations; the
 lattice couples it to a chain of positions with harmonically growing
-classical energy and a splitting that grows linearly in |site|.  Both are
-expressed through the generic TransitionSpec machinery, so detailed balance
-and thermal stationarity come from the generator layer, not from anything
-model specific.
+classical energy and a splitting that grows linearly in |site|.  Both only
+name their transition pairs and downhill rates as TransitionSpecs (the
+lattice as arrays over its sites); build_generator resolves them into one
+rate table, so detailed balance and thermal stationarity come from the
+generator layer, not from anything model specific.
 """
 
 from __future__ import annotations
@@ -212,22 +213,17 @@ def lattice_transitions(
     connected, so both share the thermal fixed point.
     """
     num_sites = 2 * half_width + 1
-    specs = []
-    for c in range(num_sites):
-        if s.kappa_th > 0:
-            specs.append(TransitionSpec.within(c, 0, 1, s.kappa_th))
-    for c in range(num_sites - 1):
-        if dephasing:
-            if s.kappa_plus > 0:
-                specs.append(TransitionSpec.between(c, 1, c + 1, 1, s.kappa_plus))
-            if s.kappa_minus > 0:
-                specs.append(TransitionSpec.between(c, 0, c + 1, 0, s.kappa_minus))
-        else:
-            if s.kappa_plus > 0:
-                specs.append(TransitionSpec.between(c, 1, c + 1, 0, s.kappa_plus))
-            if s.kappa_minus > 0:
-                specs.append(TransitionSpec.between(c, 0, c + 1, 1, s.kappa_minus))
-    return specs
+    sites = np.arange(num_sites)
+    # every bond twice, its upper-state (kappa_plus) hop before its lower one
+    left = np.repeat(sites[:-1], 2)
+    upper = np.tile([1, 0], num_sites - 1)
+    return [
+        TransitionSpec.within(sites, 0, 1, s.kappa_th),
+        TransitionSpec(
+            left, upper, left + 1, upper if dephasing else 1 - upper,
+            np.tile([s.kappa_plus, s.kappa_minus], num_sites - 1),
+        ),
+    ]
 
 
 def build_lattice(s: LatticeScenario) -> tuple[HybridHamiltonian, HybridGenerator]:

@@ -360,11 +360,8 @@ def test_criterion_08_coherence_decay_and_frequency():
     blocks[0] = np.outer(psi, psi.conj())
     state = HybridState(blocks)
 
-    outflow = {(0, 0): 0.0, (0, 1): 0.0}
-    for pair in gen.rate_pairs:
-        for source, _, rate in pair.directed():
-            if source in outflow:
-                outflow[source] += rate
+    src, _, rate = gen.directed_transitions()
+    outflow = {s: rate[(src == s).all(axis=1)].sum() for s in [(0, 0), (0, 1)]}
     decay = 0.5 * (outflow[(0, 0)] + outflow[(0, 1)])
     t_five = 5.0 / decay
     cfg = IntegratorConfig(

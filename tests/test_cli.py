@@ -729,6 +729,9 @@ class TestOutOfRangeInputs:
             ("lattice", "lattice", "half_width", "1" + "0" * 300, "half_width exceeds"),
             ("fokker_planck", "fokker_planck", "delta_x", "1e300", "no finite diffusion rate"),
             ("fokker_planck", "fokker_planck", "x_max", "1e-300", "no finite diffusion rate"),
+            ("tls", "integrator", "sample_dt", "1e-300", "sample grid of 2e+302 intervals"),
+            ("lattice", "integrator", "sample_dt", "1e-300", "sample grid of 4e+302 intervals"),
+            ("fokker_planck", "integrator", "sample_dt", "1e-300", "exceeds the cap of 1,000,000"),
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, scenario, block, key, token, message):

@@ -39,11 +39,8 @@ def coherent_start(gen):
 
 
 def outflow(gen, label, index):
-    return sum(
-        rate
-        for src, _, rate in gen.directed_transitions()
-        if src == (label, index)
-    )
+    src, _, rate = gen.directed_transitions()
+    return rate[(src == (label, index)).all(axis=1)].sum()
 
 
 class TestCoherenceDecay:
@@ -187,6 +184,20 @@ class TestFailureModes:
                 record=seen.append,
             )
         assert len(seen) == 1
+
+    def test_sample_grid_above_the_cap_is_refused(self):
+        cap = evolve.MAX_SAMPLE_INTERVALS
+
+        def exact(y, interval):
+            raise AssertionError("stepped a refused grid")
+
+        with pytest.raises(ValueError) as err:
+            run_samples(
+                np.ones(3), IntegratorConfig(t_max=2.0 * cap), exact=exact, rhs=None,
+                dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: 0.0, record=None,
+            )
+        assert str(err.value) == "sample grid of 2e+06 intervals exceeds the cap of 1,000,000"
+        assert cap >= 5000  # the longest default grid
 
     def test_non_hermitian_start_rejected(self, rng):
         _, gen = build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))

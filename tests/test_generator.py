@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +21,14 @@ from hybridtherm.generator import (
     stationary_state,
     superoperator_apply,
 )
-from hybridtherm.models import TlsScenario, build_tls
+from hybridtherm.models import (
+    LatticeScenario,
+    TlsScenario,
+    build_alt_lattice,
+    build_lattice,
+    build_tls,
+    tls_transitions,
+)
 from hybridtherm.state import HybridHamiltonian, hybrid_trace_distance
 from hybridtherm.thermal import hybrid_thermal
 from hybridtherm.verify import (
@@ -30,6 +37,9 @@ from hybridtherm.verify import (
     random_hybrid_state,
     verification_report,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_generator(rng, num_labels=2, dim=3, num_pairs=5, beta=None):
@@ -41,6 +51,10 @@ def random_generator(rng, num_labels=2, dim=3, num_pairs=5, beta=None):
     )
     if beta is None:
         beta = rng.uniform(0.2, 3.0)
+    return h, build_generator(h, random_specs(rng, num_labels, dim, num_pairs), beta)
+
+
+def random_specs(rng, num_labels, dim, num_pairs):
     states = [(c, i) for c in range(num_labels) for i in range(dim)]
     specs = []
     for _ in range(num_pairs):
@@ -55,7 +69,7 @@ def random_generator(rng, num_labels=2, dim=3, num_pairs=5, beta=None):
                 base_rate=float(rng.uniform(0.1, 5.0)),
             )
         )
-    return h, build_generator(h, specs, beta)
+    return specs
 
 
 class TestDetailedBalance:
@@ -64,18 +78,16 @@ class TestDetailedBalance:
         # with the full conditional eigenvalues including the offsets
         for _ in range(10):
             _, gen = random_generator(rng)
-            for pair in gen.rate_pairs:
-                e_hi = gen.eigenvalues[pair.hi[0], pair.hi[1]]
-                e_lo = gen.eigenvalues[pair.lo[0], pair.lo[1]]
-                lhs = pair.gamma_down * math.exp(-gen.beta * e_hi)
-                rhs = pair.gamma_up * math.exp(-gen.beta * e_lo)
-                assert abs(lhs - rhs) <= 1e-14 * max(lhs, rhs)
+            e_hi = gen.eigenvalues[gen.hi[:, 0], gen.hi[:, 1]]
+            e_lo = gen.eigenvalues[gen.lo[:, 0], gen.lo[:, 1]]
+            lhs = gen.gamma_down * np.exp(-gen.beta * e_hi)
+            rhs = gen.gamma_up * np.exp(-gen.beta * e_lo)
+            assert np.all(np.abs(lhs - rhs) <= 1e-14 * np.maximum(lhs, rhs))
 
     def test_uphill_never_exceeds_downhill(self, rng):
         for _ in range(10):
             _, gen = random_generator(rng)
-            for pair in gen.rate_pairs:
-                assert pair.gamma_up <= pair.gamma_down + 1e-15
+            assert np.all(gen.gamma_up <= gen.gamma_down + 1e-15)
 
     def test_offsets_enter_the_gap(self):
         # bare labels: conditional spectra are just the classical energies
@@ -88,10 +100,10 @@ class TestDetailedBalance:
         beta = 0.8
         spec = TransitionSpec.between(0, 0, 1, 0, 2.0)
         gen = build_generator(h, [spec], beta)
-        (pair,) = gen.rate_pairs
-        assert pair.hi == (1, 0)
-        assert abs(pair.delta - 1.5) < 1e-15
-        assert abs(pair.gamma_up - 2.0 * math.exp(-beta * 1.5)) < 1e-15
+        assert gen.gamma_down.size == 1
+        assert gen.hi[0].tolist() == [1, 0]
+        assert abs(gen.delta[0] - 1.5) < 1e-15
+        assert abs(gen.gamma_up[0] - 2.0 * math.exp(-beta * 1.5)) < 1e-15
 
     def test_degenerate_pair_ratio_one(self):
         h = HybridHamiltonian(
@@ -101,9 +113,9 @@ class TestDetailedBalance:
             h_bar=np.zeros((2, 2, 2), dtype=complex),
         )
         gen = build_generator(h, [TransitionSpec.between(0, 1, 1, 1, 1.7)], 2.0)
-        (pair,) = gen.rate_pairs
-        assert pair.delta == 0.0
-        assert pair.gamma_up == pair.gamma_down
+        assert gen.gamma_down.size == 1
+        assert gen.delta[0] == 0.0
+        assert gen.gamma_up[0] == gen.gamma_down[0]
 
     def test_residual_zero_for_clean_build(self, rng):
         for _ in range(5):
@@ -114,9 +126,9 @@ class TestDetailedBalance:
         gens = [random_generator(rng)[1] for _ in range(5)]
         gens.append(build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))[1])
         for gen in gens:
-            rates = [rate for _, _, rate in gen.directed_transitions()]
-            assert gen.max_rate() == max(rates)
-            assert gen.min_rate() == min(rates)
+            _, _, rates = gen.directed_transitions()
+            assert gen.max_rate() == rates.max()
+            assert gen.min_rate() == rates.min()
         bare = HybridHamiltonian(
             energies=np.zeros(2),
             h_system=np.zeros((2, 2), dtype=complex),
@@ -135,7 +147,7 @@ def loop_collisional_apply(gen, state):
         hc = gen.hamiltonian.conditional(c)
         out[c] += -1j * (hc @ state.blocks[c] - state.blocks[c] @ hc)
     vecs = gen.eigenvectors
-    for (cs, ks), (ct, kt), rate in gen.directed_transitions():
+    for (cs, ks), (ct, kt), rate in zip(*gen.directed_transitions()):
         src_vec = vecs[cs][:, ks]
         proj_src = np.outer(src_vec, src_vec.conj())
         rho_s = state.blocks[cs]
@@ -447,10 +459,7 @@ class TestFaultInjection:
     def test_corrupted_uphill_rate_is_detected(self, rng):
         s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
-        tampered = dataclasses.replace(
-            gen.rate_pairs[0], gamma_up=gen.rate_pairs[0].gamma_up * 1.01
-        )
-        gen.rate_pairs = [tampered] + list(gen.rate_pairs[1:])
+        gen.gamma_up[0] *= 1.01
         _build_caches(gen)
         assert gen.detailed_balance_residual() > 5e-3
         report = verification_report(gen, np.random.default_rng(3), num_states=3)
@@ -462,9 +471,7 @@ class TestFaultInjection:
     def test_nan_rate_fails_detailed_balance(self):
         s = TlsScenario(beta=1.1, energy_b=0.4, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)
-        gen.rate_pairs = [
-            dataclasses.replace(gen.rate_pairs[0], gamma_up=math.nan)
-        ] + list(gen.rate_pairs[1:])
+        gen.gamma_up[0] = math.nan
         assert math.isnan(gen.detailed_balance_residual())
         report = verification_report(gen, np.random.default_rng(3), num_states=3)
         by_name = {c["name"]: c for c in report["checks"]}
@@ -495,10 +502,7 @@ class TestFaultInjection:
 
     def test_bookkeeping_corruption_without_rebuild(self, rng):
         _, gen = random_generator(rng)
-        pair = gen.rate_pairs[0]
-        gen.rate_pairs = [
-            dataclasses.replace(pair, gamma_up=pair.gamma_up * 1.01)
-        ] + list(gen.rate_pairs[1:])
+        gen.gamma_up[0] *= 1.01
         assert gen.detailed_balance_residual() > 5e-3
 
 
@@ -529,6 +533,13 @@ class TestBuildValidation:
                 self._plain_h(), [TransitionSpec.within(0, 0, 1, -2.0)], 1.0
             )
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        specs = [TransitionSpec.within(0, 0, 1, 1.0), TransitionSpec.between(0, 0, 1, 0, rate)]
+        with pytest.raises(ValueError) as err:
+            build_generator(self._plain_h(), specs, 1.0)
+        assert str(err.value) == f"base rate must be finite and >= 0, got {rate!r}"
+
     def test_rejects_identical_endpoints(self):
         with pytest.raises(ValueError):
             build_generator(
@@ -552,7 +563,115 @@ class TestBuildValidation:
             ],
             1.0,
         )
-        assert len(gen.rate_pairs) == 1
+        assert gen.gamma_down.size == 1
+
+
+def spec_pairs(specs):
+    """(label_a, index_a, label_b, index_b, base_rate) of every pair the
+    specs name, array fields broadcast, in order."""
+    for s in specs:
+        cols = np.broadcast_arrays(s.label_a, s.index_a, s.label_b, s.index_b, s.base_rate)
+        yield from zip(*(c.ravel().tolist() for c in cols))
+
+
+def reference_lattice_pairs(s, half_width, dephasing):
+    """The lattice pairs one at a time: the on-site pairs by site, then per
+    bond its kappa_plus hop before its kappa_minus hop."""
+    num_sites = 2 * half_width + 1
+    upper, lower = (1, 0) if dephasing else (0, 1)
+    pairs = [(c, 0, c, 1, s.kappa_th) for c in range(num_sites)]
+    for c in range(num_sites - 1):
+        pairs += [(c, 1, c + 1, upper, s.kappa_plus), (c, 0, c + 1, lower, s.kappa_minus)]
+    return pairs
+
+
+def reference_rate_table(eigenvalues, beta, pairs):
+    """Rate table rows (hi, lo, gamma_down, gamma_up, delta) and directed
+    edges (source, target, rate), resolved one pair at a time with math.exp:
+    zero base rates skipped, each pair's down edge before its up edge, zero
+    uphill rates dropped."""
+    table, edges = [], []
+    for la, ia, lb, ib, kappa in pairs:
+        if kappa == 0.0:
+            continue
+        ea, eb = eigenvalues[la, ia], eigenvalues[lb, ib]
+        if ea >= eb:
+            hi, lo, delta = (la, ia), (lb, ib), float(ea - eb)
+        else:
+            hi, lo, delta = (lb, ib), (la, ia), float(eb - ea)
+        up = kappa * math.exp(-beta * delta)
+        table.append((hi, lo, kappa, up, delta))
+        edges.append((hi, lo, kappa))
+        if up > 0.0:
+            edges.append((lo, hi, up))
+    return table, edges
+
+
+def assert_table_matches(gen, pairs):
+    table, edges = reference_rate_table(gen.eigenvalues, gen.beta, pairs)
+    hi, lo, down, up, delta = (list(col) for col in zip(*table))
+    assert gen.hi.tolist() == [list(e) for e in hi]
+    assert gen.lo.tolist() == [list(e) for e in lo]
+    assert gen.gamma_down.tolist() == down
+    assert gen.delta.tolist() == delta
+    # np.exp and math.exp may round differently in the last bit
+    np.testing.assert_array_max_ulp(gen.gamma_up, np.array(up, dtype=float), maxulp=1)
+    src, tgt, rate = gen.directed_transitions()
+    assert src.tolist() == [list(e[0]) for e in edges]
+    assert tgt.tolist() == [list(e[1]) for e in edges]
+    want = np.array([e[2] for e in edges], dtype=float)
+    np.testing.assert_array_max_ulp(rate, want, maxulp=1)
+    d = gen.dim_s
+    assert np.array_equal(gen._src, src[:, 0] * d + src[:, 1])
+    assert np.array_equal(gen._tgt, tgt[:, 0] * d + tgt[:, 1])
+    assert np.array_equal(gen._rate, rate)
+    return table, edges
+
+
+def bundled(name):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    return data["beta"], data[name]
+
+
+class TestRateTable:
+    @pytest.mark.parametrize("num_labels,dim", [(1, 3), (2, 2), (3, 3), (4, 4)])
+    def test_random_generators_match_the_reference(self, rng, num_labels, dim):
+        for _ in range(5):
+            h, _ = random_generator(rng, num_labels=num_labels, dim=dim)
+            specs = random_specs(rng, num_labels, dim, num_pairs=8)
+            specs.append(TransitionSpec.within(0, 0, 1, 0.0))
+            gen = build_generator(h, specs, rng.uniform(0.2, 3.0))
+            assert_table_matches(gen, list(spec_pairs(specs)))
+
+    def test_bundled_tls_matches_the_reference(self):
+        beta, opts = bundled("tls")
+        s = TlsScenario(beta=beta, **{**opts, "mechanisms": tuple(opts["mechanisms"])})
+        specs = tls_transitions(s)
+        _, gen = build_tls(s)
+        table, _ = assert_table_matches(gen, list(spec_pairs(specs)))
+        assert len(table) == 6
+
+    @pytest.mark.parametrize("build, dephasing", [(build_lattice, True), (build_alt_lattice, False)])
+    def test_bundled_lattice_matches_the_reference(self, build, dephasing):
+        beta, opts = bundled("lattice")
+        s = LatticeScenario(beta=beta, **opts)
+        _, gen = build(s)
+        half = (gen.num_labels - 1) // 2
+        table, _ = assert_table_matches(gen, reference_lattice_pairs(s, half, dephasing))
+        assert len(table) == 3 * gen.num_labels - 2
+
+    def test_underflowed_uphill_rates_are_dropped(self):
+        # on the bundled parameters the far uphill rates turn subnormal from
+        # half_width 2367 and underflow to zero from about 2490; zero rates
+        # must leave the edge list, or the tails would join the closed class
+        beta, opts = bundled("lattice")
+        s = LatticeScenario(beta=beta, **{**opts, "half_width": 2600})
+        _, gen = build_lattice(s)
+        table, edges = assert_table_matches(gen, reference_lattice_pairs(s, 2600, True))
+        zero_up = sum(row[3] == 0.0 for row in table)
+        assert zero_up > 0 and len(edges) == 2 * len(table) - zero_up
+        assert np.count_nonzero(gen.gamma_up == 0.0) == zero_up
+        assert gen.min_rate() > 0.0
 
 
 class TestRandomDraws:

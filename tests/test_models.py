@@ -286,7 +286,8 @@ class TestRateSplit:
             warnings.simplefilter("ignore")
             h, gen = build_lattice(s)
         half = (h.num_labels - 1) // 2
-        rates = {(src, tgt): r for src, tgt, r in gen.directed_transitions()}
+        src, tgt, rate = (a.tolist() for a in gen.directed_transitions())
+        rates = {(tuple(s), tuple(t)): r for s, t, r in zip(src, tgt, rate)}
         p = ContinuumParams(
             beta=s.beta,
             omega_0=s.omega_0,
