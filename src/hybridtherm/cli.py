@@ -32,16 +32,11 @@ from .continuum import (
 )
 from .evolve import (
     IntegratorConfig,
-    NonConvergedError,
     StiffIntegrationError,
     integrate,
     trajectory_csv,
 )
-from .generator import (
-    DegenerateStationaryError,
-    TransitionSpec,
-    build_generator,
-)
+from .generator import TransitionSpec, build_generator
 from .models import (
     LatticeScenario,
     TlsScenario,
@@ -581,9 +576,7 @@ def cmd_sweep(args) -> int:
                 code = _evolve_continuum(sub, modified)
             else:
                 code = _evolve_discrete(sub, modified)
-        except (
-            NonConvergedError, StiffIntegrationError, DegenerateStationaryError
-        ) as err:
+        except StiffIntegrationError as err:
             return {"index": i, "value": value, "ok": False, "error": str(err)}
         if code != 0:
             return {
@@ -661,7 +654,7 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NonConvergedError, StiffIntegrationError) as err:
+    except StiffIntegrationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

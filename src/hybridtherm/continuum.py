@@ -249,20 +249,33 @@ class FokkerPlanckEvolution:
         self.kappa_th = float(kappa_th)
         self.drift_scheme = drift_scheme
 
-        omega = params.splitting(x)
-        self.gamma_down = np.full_like(x, self.kappa_th)
-        self.gamma_up = self.kappa_th * np.exp(-params.beta * omega)
-        self.omega = omega
-        # face-centered forces for the flux stencils
-        x_face = 0.5 * (x[:-1] + x[1:])
-        fp, fm = drift_forces(params, x_face)
-        diff = 0.5 * params.delta_x**2
-        self.face_drift = (
-            params.beta * diff * fp,
-            params.beta * diff * fm,
-        )
-        self.diff = diff
-        self.coh_decay = 0.5 * (self.gamma_down + self.gamma_up + self.gamma)
+        # rates past the float range are refused by name below
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = params.splitting(x)
+            self.gamma_down = np.full_like(x, self.kappa_th)
+            self.gamma_up = self.kappa_th * np.exp(-params.beta * omega)
+            self.omega = omega
+            # face-centered forces for the flux stencils
+            x_face = 0.5 * (x[:-1] + x[1:])
+            fp, fm = drift_forces(params, x_face)
+            diff = 0.5 * params.delta_x**2
+            self.face_drift = (
+                params.beta * diff * fp,
+                params.beta * diff * fm,
+            )
+            self.diff = diff
+            self.coh_decay = 0.5 * (self.gamma_down + self.gamma_up + self.gamma)
+            src, tgt, rate = self.population_edges()
+            multiplier = np.concatenate(
+                [-1j * self.omega - self.coh_decay, 1j * self.omega - self.coh_decay]
+            )
+        if not (np.isfinite(rate).all() and np.isfinite(multiplier).all()):
+            raise ValueError(
+                "drift, flip or coherence rates overflow the float range "
+                "(beta, delta_omega, delta_e, gamma or kappa_th too large)"
+            )
+        # held, so every integrate on this model reuses its per-interval plans
+        self._propagator = ExactPropagator(src, tgt, rate, 2 * x.size, multiplier)
 
     def _fp_operator(self, u: np.ndarray, which: int) -> np.ndarray:
         """Flux-form divergence with zero-flux boundaries."""
@@ -361,25 +374,20 @@ class FokkerPlanckEvolution:
             low, _ = eigvalsh_2x2(pp, pm, stack[:, 2 * m : 3 * m])
             lows.append(low.min(axis=1))
 
-        propagate = ExactPropagator(
-            *self.population_edges(), 2 * m,
-            np.concatenate(
-                [-1j * self.omega - self.coh_decay, 1j * self.omega - self.coh_decay]
-            ),
-        )
+        def exact(y: np.ndarray, interval: float, count: int) -> np.ndarray:
+            pops, cohs = self._propagator.advance(y[: 2 * m].real, y[2 * m :], interval, count)
+            return np.concatenate([pops, cohs], axis=1)
 
-        def exact(y: np.ndarray, interval: float) -> np.ndarray:
-            return np.concatenate(propagate(y[: 2 * m].real, y[2 * m :], interval))
-
-        def gap(new: np.ndarray, old: np.ndarray) -> float:
-            return float(np.sum(np.abs(new[: 2 * m].real - old[: 2 * m].real)) * self.h)
+        def gap(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+            change = np.abs(new[:, : 2 * m].real - old[:, : 2 * m].real)
+            return np.sum(change, axis=1) * self.h
 
         y, times, converged, change = run_samples(
             initial.pack(), cfg, exact=exact, rhs=self.rhs, dt=dt,
             sample_dt=sample_dt, stride=1, gap=gap, record=record,
         )
         return FieldTrajectory(
-            times=np.array(times),
+            times=times,
             total_mass=np.concatenate(masses),
             min_conditional_eig=np.concatenate(lows),
             final=FieldState.unpack(y),

@@ -6,20 +6,20 @@ rate matrix.  The default method, "exact", propagates each sample interval in
 closed form with ExactPropagator: coherences are multiplied by
 exp(multiplier * dt) and populations advance by exp(dt Q).  Below a size and
 work crossover that map is built once per distinct interval as a dense matrix
-by scaling and squaring, its columns renormalized to unit sum, so each
-interval is one matvec; above it populations advance by uniformization along
+by scaling and squaring, its columns renormalized to unit sum, and kept by
+the model for all its runs, so each interval is one matvec; above it populations advance by uniformization along
 the edge list, which also serves as the oracle.  The steppers "rk45"
 (adaptive embedded Dormand-Prince) and "rk4" (fixed-step classic) integrate
 apply instead; they stay as independent oracles.
 
 run_samples is the one sample loop of both model families, the discrete
-generators here and the Fokker-Planck fields in continuum.  It steps, checks
-finiteness and runs the convergence monitor at every sample, and hands the
-samples to the family's record in stacks of consecutive samples, so records
-are array expressions over blocks of samples.  The monitor compares states a
-family-chosen stride of samples apart and stops the run once a full window
-of gaps sits below tolerance; integrate compares states one relaxation
-interval apart by trace distance.
+generators here and the Fokker-Planck fields in continuum.  It works on
+stacks of consecutive samples: the family's exact stepper returns the next
+stack in one call, and the finiteness check, the convergence monitor and
+the family's record are array expressions over the stack.  The monitor
+compares states a family-chosen stride of samples apart and stops the run
+at the sample that completes a full window of gaps below tolerance;
+integrate compares states one relaxation interval apart by trace distance.
 
 integrate keeps its state in the conditional eigenbases: it rotates the
 start once and the final state back once, and every sample in between reads
@@ -32,7 +32,6 @@ closed form (linalg.eigvalsh_2x2).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +207,9 @@ class ExactPropagator:
       squarings amplify rounding like 2**j.
 
     The plan of each distinct dt (substeps, weights and coherence factors,
-    plus the dense matrix on that route) is built once and kept in _plans.
+    plus the dense matrix on that route) is built once and kept in _plans;
+    a plan that is not finite raises StiffIntegrationError.  Each model
+    holds one propagator, so its runs share the plans.
     Route rule: dense when n <= _DENSE_MAX_STATES, which keeps the build's
     three n x n float64 arrays within 6.3 MB, and the build's
     (j + Horner terms) * n**3 multiply-adds are at most _DENSE_WORK_RATIO
@@ -269,8 +270,14 @@ class ExactPropagator:
             dense = n <= _DENSE_MAX_STATES and (squarings + horner.size - 1) * n**3 <= (
                 _DENSE_WORK_RATIO * steps * (len(weights) - 1) * self._src.size
             )
-            matrix = self._dense(horner, squarings) if dense else None
-            plan = self._plans[dt] = (matrix, steps, weights, np.exp(dt * self._multiplier))
+            # rates far past the float range overflow the squarings; the
+            # check below names that instead of numpy warnings
+            with np.errstate(all="ignore"):
+                matrix = self._dense(horner, squarings) if dense else None
+                factor = np.exp(dt * self._multiplier)
+            if not (np.isfinite(factor).all() and (matrix is None or np.isfinite(matrix).all())):
+                raise StiffIntegrationError(0.0, "non-finite exact propagator")
+            plan = self._plans[dt] = (matrix, steps, weights, factor)
         return plan
 
     def _dense(self, weights: np.ndarray, squarings: int) -> np.ndarray:
@@ -285,15 +292,37 @@ class ExactPropagator:
         for _ in range(squarings):
             p = p @ p
             p /= p.sum(axis=0)
+            if not np.isfinite(p[0]).all():
+                break  # a non-finite entry spreads; _plan names the failure
         return p
 
-    def __call__(
-        self, pops: np.ndarray, cohs: np.ndarray, dt: float
+    def advance(
+        self, pops: np.ndarray, cohs: np.ndarray, dt: float, count: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Populations and coherences one interval dt later."""
+        """Populations and coherences at the next count intervals of length
+        dt, stacked as (count, n) and (count, *cohs.shape).
+
+        Each interval is one matvec on the dense route and one series sum
+        on the other, and one multiplication of the coherences by their
+        factors.  That keeps the rounding of stepping one interval at a
+        time: np.cumprod of complex factors rounds differently from
+        repeated multiplication.
+        """
         matrix, steps, weights, factor = self._plan(dt)
-        if matrix is not None:
-            return matrix @ pops, cohs * factor
+        p = np.empty((count + 1, pops.size))
+        p[0] = pops
+        c = np.empty((count + 1, *cohs.shape), np.result_type(cohs, factor))
+        c[0] = cohs
+        for k in range(count):
+            np.multiply(c[k], factor, out=c[k + 1])
+            if matrix is not None:
+                np.dot(matrix, p[k], out=p[k + 1])
+            else:
+                p[k + 1] = self._series(p[k], steps, weights)
+        return p[1:], c[1:]
+
+    def _series(self, pops: np.ndarray, steps: int, weights: list[float]) -> np.ndarray:
+        """steps times sum_k weights[k] B**k pops, along the edge list."""
         src, tgt, hop, n = self._src, self._tgt, self._hop, pops.size
         for _ in range(steps):
             v = pops
@@ -301,7 +330,14 @@ class ExactPropagator:
             for w in weights[1:]:
                 v = np.bincount(tgt, hop * v[src], minlength=n)
                 pops += w * v
-        return pops, cohs * factor
+        return pops
+
+    def __call__(
+        self, pops: np.ndarray, cohs: np.ndarray, dt: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Populations and coherences one interval dt later."""
+        p, c = self.advance(pops, cohs, dt, 1)
+        return p[0], c[0]
 
 
 def _default_steps(gen: HybridGenerator, cfg: IntegratorConfig) -> tuple[float, float]:
@@ -321,7 +357,8 @@ def _default_steps(gen: HybridGenerator, cfg: IntegratorConfig) -> tuple[float, 
     return dt, sample_dt
 
 
-# record sees stacks of at most this many bytes and at least one sample:
+# record sees stacks of at most this many bytes and at least one sample, and
+# run_samples steps stacks of at most that many samples:
 # 2048 samples of the bundled two-level system, 110 of the lattice, 27 of
 # the Fokker-Planck fields, one from lattice half_width 1024.  That bounds
 # the record's arrays at every size; the bundled runs take as long at 2**16
@@ -332,7 +369,7 @@ _RECORD_BYTES = 2**18
 # Fokker-Planck fields); the bundled scenarios ask for 400 (tls and lattice)
 # and 600 (Fokker-Planck).  A million samples already take minutes at tens of
 # microseconds each; far beyond it a run never ends (sample_dt 1e-300 asks
-# for 1e302 intervals) and the monitor's deque of stride + 1 samples
+# for 1e302 intervals) and the monitor's history of stride samples
 # overflows its length.
 MAX_SAMPLE_INTERVALS = 10**6
 
@@ -340,21 +377,29 @@ MAX_SAMPLE_INTERVALS = 10**6
 def run_samples(
     y: np.ndarray, cfg: IntegratorConfig, *, exact, rhs, dt: float,
     sample_dt: float, stride: int, gap, record,
-) -> tuple[np.ndarray, list[float], bool, float]:
+) -> tuple[np.ndarray, np.ndarray, bool, float]:
     """The sample loop of both model families.
 
-    Steps the packed state y from t = 0 to cfg.t_max on a uniform grid of
-    spacing sample_dt, by the family's closed-form exact(y, interval), or by
-    RK4 (fixed step dt) or RK45 (first trial step dt) on rhs.  The monitor
-    compares each sample with the one stride samples earlier by
-    gap(new, old) and stops the run once cfg.convergence_window consecutive
-    gaps fall below cfg.convergence_tol.  A non-finite sample raises
-    StiffIntegrationError.  Stepping, the finiteness check and the monitor
-    act on every sample; record(stack) sees every sample, the start
-    included, as a (k, *y.shape) stack of consecutive samples, flushed when
-    it holds _RECORD_BYTES, when the monitor fires, at t_max and before a
-    non-finite sample raises.  A grid of more than MAX_SAMPLE_INTERVALS
-    intervals raises ValueError before any step.
+    Steps the packed state y from t = 0 to cfg.t_max on the grid
+    t_k = min(k * sample_dt, cfg.t_max), ending at the first t_k within
+    1e-12 cfg.t_max of cfg.t_max, and works on stacks of consecutive
+    samples.  exact(y, interval, count) returns the family's closed-form
+    next count samples as a (count, *y.shape) stack; RK4 (fixed step dt) or
+    RK45 (first trial step dt) on rhs step one sample per stack.  The first
+    stack holds stride + cfg.convergence_window samples, the earliest the
+    monitor can fire; later ones double, up to the record stack below.
+
+    Each stack is checked as a whole.  A non-finite sample raises
+    StiffIntegrationError with its time.  The monitor compares each sample
+    with the one stride samples earlier by gap(new, old), which maps two
+    (k, *y.shape) stacks to k gaps, and the run ends at the first sample
+    that completes cfg.convergence_window consecutive gaps below
+    cfg.convergence_tol; samples computed past it are dropped.
+    record(stack) sees every kept sample, the start included, as a
+    (k, *y.shape) stack of consecutive samples, flushed when it holds
+    _RECORD_BYTES, when the monitor fires, at t_max and before a non-finite
+    sample raises.  A grid of more than MAX_SAMPLE_INTERVALS intervals
+    raises ValueError before any step.
 
     Returns (final state, sample times, whether the monitor fired, the last
     gap, inf before the first comparison).
@@ -367,52 +412,100 @@ def run_samples(
         )
     if not np.isfinite(y).all():
         raise StiffIntegrationError(0.0, "non-finite initial state")
+    # the last sample's index: the first k with k * sample_dt >= end
+    end = cfg.t_max - 1e-12 * cfg.t_max
+    total = max(1, math.ceil(end / sample_dt))
+    while total * sample_dt < end:
+        total += 1
+    while total > 1 and (total - 1) * sample_dt >= end:
+        total -= 1
+    # sample_dt itself up to the last interval, so rounding adds no plan
+    last = min(sample_dt, cfg.t_max - (total - 1) * sample_dt)
+    uniform = total if last == sample_dt else total - 1
     block = max(1, _RECORD_BYTES // max(y.nbytes, 1))
+    limit = block if cfg.method == "exact" else 1
+    size = min(stride + cfg.convergence_window, limit)
     pending: list[np.ndarray] = []
+    held = 0
 
     def flush() -> None:
+        nonlocal held
         if pending:
-            record(np.stack(pending))
+            record(pending[0] if len(pending) == 1 else np.concatenate(pending))
             pending.clear()
+            held = 0
 
-    def keep(sample: np.ndarray) -> None:
-        pending.append(sample)
-        if len(pending) == block:
-            flush()
+    def keep(samples: np.ndarray) -> None:
+        nonlocal held
+        while samples.shape[0]:
+            take = block - held
+            pending.append(samples[:take])
+            held += pending[-1].shape[0]
+            samples = samples[take:]
+            if held == block:
+                flush()
 
-    keep(y)
-    times = [0.0]
-    recent: deque[np.ndarray] = deque([y], maxlen=stride + 1)
+    def time(k: int) -> float:
+        return min(k * sample_dt, cfg.t_max)
+
+    keep(y[None])
+    history = y[None]  # the last `stride` samples
+    done = 0  # samples after the start
     last_gap = math.inf
     passes = 0
+    converged = False
     h_adapt = dt
-    t = 0.0
-    while t < cfg.t_max - 1e-12 * cfg.t_max:
-        t_next = min(t + sample_dt, cfg.t_max)
-        if cfg.method == "exact":
-            # sample_dt itself, so rounding in t adds no distinct interval
-            y = exact(y, min(sample_dt, cfg.t_max - t))
-        elif cfg.method == "rk4":
-            y = _rk4_segment(rhs, y, t, t_next, dt)
+    while done < total:
+        if done < uniform:
+            count, interval = min(size, uniform - done), sample_dt
         else:
-            y, h_adapt = _rk45_segment(
-                rhs, y, t, t_next, h_adapt, cfg.rel_tol, cfg.abs_tol
-            )
-        t = t_next
-        if not np.isfinite(y).all():
+            count, interval = 1, last
+        # a step that overflows is named by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.method == "exact":
+                stack = exact(y, interval, count)
+            elif cfg.method == "rk4":
+                stack = _rk4_segment(rhs, y, time(done), time(done + 1), dt)[None]
+            else:
+                step, h_adapt = _rk45_segment(
+                    rhs, y, time(done), time(done + 1), h_adapt, cfg.rel_tol, cfg.abs_tol
+                )
+                stack = step[None]
+        finite = np.isfinite(stack.reshape(count, -1)).all(axis=1)
+        good = count if finite.all() else int(np.argmin(finite))
+        # gaps of the last gaps.size good samples of the stack
+        gaps, history = _compare(history, stack[:good], stride, gap)
+        index = np.arange(1, gaps.size + 1)
+        reset = np.maximum.accumulate(np.where(gaps < cfg.convergence_tol, 0, index))
+        run = index - reset + np.where(reset == 0, passes, 0)  # consecutive passes
+        fired = np.flatnonzero(run >= cfg.convergence_window)
+        if fired.size:
+            good = count = good - gaps.size + fired[0] + 1
+            last_gap, converged = float(gaps[fired[0]]), True
+        elif gaps.size:
+            last_gap, passes = float(gaps[-1]), int(run[-1])
+        keep(stack[:good])
+        if good < count:
             flush()
-            raise StiffIntegrationError(t, "non-finite sample")
-        times.append(t)
-        keep(y)
-        recent.append(y)
-        if len(recent) == stride + 1:
-            last_gap = gap(recent[-1], recent[0])
-            passes = passes + 1 if last_gap < cfg.convergence_tol else 0
-            if passes >= cfg.convergence_window:
-                flush()
-                return y, times, True, last_gap
+            raise StiffIntegrationError(time(done + good + 1), "non-finite sample")
+        done += count
+        y = stack[count - 1]
+        if converged:
+            break
+        size = min(2 * size, limit)
     flush()
-    return y, times, False, last_gap
+    times = np.minimum(np.arange(done + 1) * sample_dt, cfg.t_max)
+    return y, times, converged, last_gap
+
+
+def _compare(
+    history: np.ndarray, new: np.ndarray, stride: int, gap
+) -> tuple[np.ndarray, np.ndarray]:
+    """gap of each sample of history + new stride samples after another,
+    and the last stride samples, copied so the stack can be freed."""
+    both = np.concatenate([history, new])
+    gaps = gap(both[stride:], both[:-stride]) if both.shape[0] > stride else np.empty(0)
+    return gaps, both[-stride:].copy()
 
 
 def integrate(
@@ -470,19 +563,22 @@ def integrate(
             parts["pops"].append(pops.copy())
             parts["cohs"].append(stack[:, :, lower, upper])
 
-    propagate = ExactPropagator(gen._src, gen._tgt, gen._rate, L * d, gen._multiplier)
+    if gen._propagator is None:  # built once, so every run reuses its plans
+        gen._propagator = ExactPropagator(gen._src, gen._tgt, gen._rate, L * d, gen._multiplier)
+    propagate = gen._propagator
 
-    def exact(s: np.ndarray, interval: float) -> np.ndarray:
-        p, s = propagate(np.einsum("cii->ci", s).real.reshape(-1), s, interval)
-        s[:, diag, diag] = p.reshape(L, d)
-        return s
+    def exact(s: np.ndarray, interval: float, count: int) -> np.ndarray:
+        pops = np.einsum("cii->ci", s).real.reshape(-1)
+        p, stack = propagate.advance(pops, s, interval, count)
+        stack[:, :, diag, diag] = p.reshape(count, L, d)
+        return stack
 
     def rhs(s: np.ndarray) -> np.ndarray:
         # the RK oracles step apply in the original basis
         return vh @ apply(gen, HybridState(v @ s @ vh)).blocks @ v
 
-    def gap(new: np.ndarray, old: np.ndarray) -> float:
-        return 0.5 * float(np.sum(trace_norm_stack(new - old)))
+    def gap(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+        return 0.5 * trace_norm_stack(new - old).sum(axis=1)
 
     s, times, converged, _ = run_samples(
         start, cfg, exact=exact, rhs=rhs, dt=dt, sample_dt=sample_dt,
@@ -490,7 +586,7 @@ def integrate(
     )
     series = {k: np.concatenate(blocks) if blocks else None for k, blocks in parts.items()}
     return Trajectory(
-        times=np.array(times),
+        times=times,
         total_trace=series["trace"],
         entropy=series["entropy"],
         classical=series["classical"],
@@ -498,7 +594,7 @@ def integrate(
         dist_to_target=series["dist"],
         final_state=HybridState(v @ s @ vh),
         converged=converged,
-        converged_time=times[-1] if converged else None,
+        converged_time=float(times[-1]) if converged else None,
         eig_populations=series["pops"],
         eig_coherences=series["cohs"],
         coherence_pairs=pair_list if cfg.record_eigenbasis else [],

@@ -92,6 +92,8 @@ class HybridGenerator:
     _rate: np.ndarray = field(repr=False, default=None)
     _outflow: np.ndarray = field(repr=False, default=None)
     _multiplier: np.ndarray = field(repr=False, default=None)
+    # evolve.ExactPropagator of the caches, built by the first integrate
+    _propagator: object = field(repr=False, default=None)
 
     @property
     def num_labels(self) -> int:
@@ -194,6 +196,7 @@ def _build_caches(gen: HybridGenerator) -> None:
     decay = 0.5 * (outflow[:, :, None] + outflow[:, None, :])
     gen._multiplier = -1j * freq - decay
     gen._outflow = outflow
+    gen._propagator = None
 
 
 def apply(gen: HybridGenerator, state: HybridState) -> HybridState:

@@ -149,12 +149,15 @@ def eigvalsh_2x2(a, b, c) -> tuple[np.ndarray, np.ndarray]:
 
     The root of larger magnitude is m + sign(m) r.  The other is taken as
     det / (m + sign(m) r), which keeps its relative digits where m - r
-    would cancel; a zero block gives two zeros.
+    would cancel; a zero block gives two zeros.  Past about 1e154, where
+    det overflows, the other root is m - sign(m) r.
     """
     m, r = center_radius_2x2(a, b, c)
     big = m + np.copysign(r, m)
-    det = a * b - (c.real**2 + c.imag**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * b - (c.real**2 + c.imag**2)
     small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
+    small = np.where(np.isfinite(det), small, m - np.copysign(r, m))
     return np.minimum(small, big), np.maximum(small, big)
 
 

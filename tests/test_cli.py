@@ -5,6 +5,7 @@ output files are checked without subprocess overhead.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -860,3 +861,38 @@ class TestSchemaOracle:
         schema = {"type": "object", "maxProperties": 1}
         with pytest.raises(ValueError, match="maxProperties"):
             list(cli._schema_errors({}, schema, schema))
+
+
+class TestOverflowingFokkerPlanck:
+    """Parameters that take the Fokker-Planck rates or their propagator past
+    the float range end with one named error and no numpy warnings."""
+
+    def evolve(self, tmp_path, capsys, **changes):
+        data = json.loads((SCENARIOS / "fokker_planck.json").read_text())
+        for key, value in changes.items():
+            (data if key == "beta" else data["fokker_planck"])[key] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["evolve", "--scenario", write_scenario(tmp_path, data),
+                 "--out", str(tmp_path / "out")]
+            )
+        err = capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # the smooth-regime warning stays
+        smooth = data["beta"] * data["fokker_planck"]["delta_e"] > 0.1
+        assert smooth == any("smooth-weight regime" in str(w.message) for w in caught)
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return code, lines[0]
+
+    @pytest.mark.parametrize("key", ["beta", "delta_e", "delta_omega"])
+    @pytest.mark.parametrize("value", [1e6, 1e300])
+    def test_one_error_line(self, tmp_path, capsys, key, value):
+        code, line = self.evolve(tmp_path, capsys, **{key: value})
+        assert code == 3
+        assert "non-finite exact propagator at t = 0" in line or "non-finite sample" in line
+
+    def test_rates_past_the_float_range_exit_2(self, tmp_path, capsys):
+        code, line = self.evolve(tmp_path, capsys, beta=1e300, delta_omega=1e300)
+        assert code == 2 and "overflow the float range" in line

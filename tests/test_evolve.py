@@ -174,13 +174,13 @@ class TestFailureModes:
     def test_non_finite_sample_stops_the_run(self):
         seen = []
 
-        def exact(y, interval):
-            return np.full_like(y, np.nan)
+        def exact(y, interval, count):
+            return np.full((count, *y.shape), np.nan)
 
         with pytest.raises(StiffIntegrationError, match="non-finite sample at t = 0.25"):
             run_samples(
                 np.ones(3), IntegratorConfig(t_max=1.0), exact=exact, rhs=None,
-                dt=0.1, sample_dt=0.25, stride=1, gap=lambda new, old: 0.0,
+                dt=0.1, sample_dt=0.25, stride=1, gap=lambda new, old: np.zeros(len(new)),
                 record=seen.append,
             )
         assert len(seen) == 1
@@ -188,13 +188,14 @@ class TestFailureModes:
     def test_sample_grid_above_the_cap_is_refused(self):
         cap = evolve.MAX_SAMPLE_INTERVALS
 
-        def exact(y, interval):
+        def exact(y, interval, count):
             raise AssertionError("stepped a refused grid")
 
         with pytest.raises(ValueError) as err:
             run_samples(
                 np.ones(3), IntegratorConfig(t_max=2.0 * cap), exact=exact, rhs=None,
-                dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: 0.0, record=None,
+                dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: np.zeros(len(new)),
+                record=None,
             )
         assert str(err.value) == "sample grid of 2e+06 intervals exceeds the cap of 1,000,000"
         assert cap >= 5000  # the longest default grid
@@ -549,13 +550,15 @@ class TestRecordBlocks:
         monkeypatch.setattr(evolve, "_RECORD_BYTES", 4 * 24)
         seen = []
 
-        def exact(y, interval):
-            return y + 1.0 if y[0] < 5.0 else np.full_like(y, np.inf)
+        def exact(y, interval, count):
+            stack = y + np.arange(1.0, count + 1.0)[:, None]
+            stack[stack[:, 0] > 5.0] = np.inf
+            return stack
 
         with pytest.raises(StiffIntegrationError, match="non-finite sample at t = 6"):
             run_samples(
                 np.zeros(3), IntegratorConfig(t_max=10.0), exact=exact, rhs=None,
-                dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: 1.0,
+                dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: np.ones(len(new)),
                 record=seen.append,
             )
         assert [stack[:, 0].tolist() for stack in seen] == [[0, 1, 2, 3], [4, 5]]
@@ -564,8 +567,9 @@ class TestRecordBlocks:
         seen = []
         y = np.zeros(evolve._RECORD_BYTES // 8 + 1)
         run_samples(
-            y, IntegratorConfig(t_max=2.0), exact=lambda y, dt: y, rhs=None,
-            dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: 1.0, record=seen.append,
+            y, IntegratorConfig(t_max=2.0), exact=lambda y, dt, count: np.stack([y] * count),
+            rhs=None, dt=0.1, sample_dt=1.0, stride=1, gap=lambda new, old: np.ones(len(new)),
+            record=seen.append,
         )
         assert [stack.shape for stack in seen] == [(1, y.size)] * 3
 
@@ -593,3 +597,145 @@ class TestTrajectoryCsv:
         traj = integrate(gen, random_hybrid_state(rng, 2, 2), cfg)
         row = trajectory_csv(traj).strip().split("\n")[1].split(",")
         assert row[3] == ""
+
+
+def per_sample_loop(y, cfg, *, exact, rhs, dt, sample_dt, stride, gap, record):
+    """run_samples for the exact method one sample at a time (stacks of one),
+    the reference the stacked loop must reproduce."""
+    samples = [y]
+    passes, last_gap = 0, math.inf
+    k = 0
+    while k * sample_dt < cfg.t_max - 1e-12 * cfg.t_max:
+        y = exact(y, min(sample_dt, cfg.t_max - k * sample_dt), 1)[0]
+        k += 1
+        assert np.isfinite(y).all()
+        samples.append(y)
+        if k >= stride:
+            last_gap = float(gap(y[None], samples[k - stride][None])[0])
+            passes = passes + 1 if last_gap < cfg.convergence_tol else 0
+            if passes >= cfg.convergence_window:
+                break
+    record(np.stack(samples))
+    times = np.minimum(np.arange(k + 1) * sample_dt, cfg.t_max)
+    return y, times, passes >= cfg.convergence_window, last_gap
+
+
+class TestSampleStacks:
+    """The stacked sample loop against the per-sample reference and at the
+    edges of its stacks."""
+
+    @pytest.mark.parametrize("name", ["tls", "lattice", "fokker_planck"])
+    def test_bundled_runs_match_the_per_sample_loop(self, monkeypatch, name):
+        module = continuum if name == "fokker_planck" else evolve
+        stacked = TestDenseRoute.run_bundled(name)
+        monkeypatch.setattr(module, "run_samples", per_sample_loop)
+        single = TestDenseRoute.run_bundled(name)
+        assert stacked.converged and single.converged
+        assert np.array_equal(stacked.times, single.times)
+        if name == "fokker_planck":
+            columns = ("total_mass", "min_conditional_eig")
+            finals = [(getattr(stacked.final, f), getattr(single.final, f))
+                      for f in ("p_plus", "p_minus", "c_plus", "c_minus")]
+            assert stacked.last_population_change == single.last_population_change
+        else:
+            columns = ("total_trace", "entropy", "classical", "min_eigenvalue",
+                       "dist_to_target", "eig_populations", "eig_coherences")
+            finals = [(stacked.final_state.blocks, single.final_state.blocks)]
+            assert stacked.converged_time == single.converged_time
+        for column in columns:
+            got, want = getattr(stacked, column), getattr(single, column)
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-15, column
+        for got, want in finals:
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @staticmethod
+    def counting_run(seen, fire, stride=1, bad=None, window=3):
+        """Samples 0, 1, 2, ... whose gaps sit below tolerance exactly on the
+        window samples ending at `fire`; sample `bad` is NaN."""
+
+        def exact(y, interval, count):
+            stack = y + np.arange(1.0, count + 1.0)[:, None]
+            stack[stack[:, 0] == bad] = np.nan
+            return stack
+
+        def gap(new, old):
+            assert np.all(np.isfinite(new)) and np.all(new - old == stride)
+            j = new[:, 0]
+            return np.where((fire - window < j) & (j <= fire), 0.5, 2.0)
+
+        cfg = IntegratorConfig(t_max=100.0, convergence_tol=1.0, convergence_window=window)
+        return run_samples(
+            np.zeros(1), cfg, exact=exact, rhs=None, dt=0.1, sample_dt=1.0,
+            stride=stride, gap=gap, record=seen.append,
+        )
+
+    # stacks of 4, 8, 16, ... samples after the start: 1-4, 5-12, 13-28;
+    # with stride 3 they hold 6, 12, ...: 1-6, 7-18
+    @pytest.mark.parametrize("fire, stride", [
+        (3, 1),    # the earliest sample the monitor can fire on
+        (4, 1),    # the last sample of the first stack
+        (5, 1),    # the first sample of a stack, its window across the boundary
+        (6, 1),    # a window across the boundary
+        (8, 1),    # the middle of a stack
+        (12, 1),   # the last sample of a stack
+        (13, 1),
+        (7, 3),    # first of a stack, compared with samples of the stack before
+        (9, 3),
+    ])
+    def test_monitor_fires_on_its_sample(self, fire, stride):
+        seen = []
+        y, times, converged, last_gap = self.counting_run(seen, fire, stride)
+        assert converged and y[0] == fire and last_gap == 0.5
+        assert np.array_equal(times, np.arange(fire + 1.0))
+        assert len(seen) == 1 and seen[0][:, 0].tolist() == list(range(fire + 1))
+
+    def test_monitor_that_never_fires_runs_to_t_max(self):
+        seen = []
+        y, times, converged, last_gap = self.counting_run(seen, fire=1000)
+        assert not converged and y[0] == 100.0 and last_gap == 2.0
+        assert np.array_equal(times, np.arange(101.0))
+        assert np.concatenate(seen)[:, 0].tolist() == list(range(101))
+
+    @pytest.mark.parametrize("bad", [1, 4, 5, 7, 12])
+    def test_non_finite_sample_flushes_the_samples_before(self, bad):
+        # 7 sits in the middle of the stack 5-12, 5 and 12 at its ends
+        seen = []
+        with pytest.raises(StiffIntegrationError, match=f"non-finite sample at t = {bad}$"):
+            self.counting_run(seen, fire=1000, bad=bad)
+        assert len(seen) == 1 and seen[0][:, 0].tolist() == list(range(bad))
+
+    def test_exact_sample_times(self, rng):
+        _, gen = build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))
+        for t_max, count in ((7.25, 73), (1.0, 10)):
+            cfg = IntegratorConfig(t_max=t_max, sample_dt=0.1, convergence_tol=0.0)
+            traj = integrate(gen, random_hybrid_state(rng, 2, 2), cfg)
+            assert np.array_equal(traj.times, np.minimum(np.arange(count + 1) * 0.1, t_max))
+        # repeated addition would have ended at 0.9999999999999999
+        assert traj.times[-1] == 1.0
+
+    def test_rk45_makes_as_many_rhs_calls_as_one_sample_per_call(self, monkeypatch):
+        calls = []
+        real = evolve.apply
+        monkeypatch.setattr(evolve, "apply", lambda *args: calls.append(1) or real(*args))
+        scenario = cli.load_scenario(str(SCENARIOS / "tls.json"))
+        h, gen = cli.build_discrete(scenario)
+        start = cli._initial_discrete(scenario, h, gen, scenario["beta"], None)
+        cfg = IntegratorConfig(**{**scenario["integrator"], "method": "rk45"})
+        traj = integrate(gen, start, cfg)
+        # the count of the loop that stepped one sample per call
+        assert traj.converged and traj.times.size == 55 and len(calls) == 3437
+
+    def test_models_hold_their_propagator(self, monkeypatch):
+        builds = []
+        dense = ExactPropagator._dense
+        monkeypatch.setattr(
+            ExactPropagator, "_dense", lambda self, *a: builds.append(1) or dense(self, *a)
+        )
+        _, gen = cli.build_discrete(cli.load_scenario(str(SCENARIOS / "tls.json")))
+        scenario = cli.load_scenario(str(SCENARIOS / "fokker_planck.json"))
+        _, evo = cli.build_continuum(scenario)
+        cfg = IntegratorConfig(**scenario["integrator"])
+        for _ in range(2):
+            integrate(gen, coherent_start(gen), IntegratorConfig(t_max=40.0, sample_dt=0.5))
+            evo.integrate(evo.polarized_fields(), cfg)
+        assert len(builds) == 2
