@@ -84,8 +84,7 @@ with warnings.catch_warnings():
                             delta_omega=fp["delta_omega"], delta_e=fp["delta_e"],
                             delta_x=fp["delta_x"])
         x = np.linspace(-fp["x_max"], fp["x_max"], size)
-        evo = FokkerPlanckEvolution(p, x, gamma=fp["gamma"], kappa_th=fp["kappa_th"],
-                                    drift_scheme=fp["drift_scheme"])
+        evo = FokkerPlanckEvolution(p, x, gamma=fp["gamma"], kappa_th=fp["kappa_th"])
         start = evo.polarized_fields()
         run = lambda: evo.integrate(start, cfg)
         n = 2 * size

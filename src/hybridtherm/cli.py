@@ -285,7 +285,6 @@ def build_continuum(scenario: dict):
             x,
             gamma=opts["gamma"],
             kappa_th=opts.get("kappa_th", 1.0),
-            drift_scheme=opts.get("drift_scheme", "central"),
         )
     except ValueError as err:
         raise InputError(str(err)) from err

@@ -10,7 +10,8 @@ coherence fields.
 The fields split like the discrete generators: the populations are an edge
 list and the coherences decay by fixed multipliers.  So
 FokkerPlanckEvolution.integrate runs the one sample loop of
-evolve.run_samples, and a run stops on its shared convergence monitor.
+evolve.run_samples, and a run stops on its shared convergence monitor.  Its
+hops are exponentially fitted, so its fixed point is the grid thermal fields.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import ExactPropagator, IntegratorConfig, run_samples
+from .generator import gth_stationary
 from .linalg import eigvalsh_2x2
 
 SMOOTH_REGIME_LIMIT = 0.1
@@ -91,14 +93,23 @@ def weight_density(p: ContinuumParams, x) -> np.ndarray:
     )
 
 
+def _bernoulli(z: np.ndarray) -> np.ndarray:
+    """B(z) = z / (e**z - 1), B(0) = 1, taken as B(|z|) = |z| e**-|z| /
+    (1 - e**-|z|) and B(-|z|) = B(|z|) + |z|, so it never overflows."""
+    a = np.abs(z)
+    b = np.divide(a * np.exp(-a), -np.expm1(-a), out=np.ones_like(a), where=a != 0)
+    return np.where(z < 0, b + a, b)
+
+
 def shifted_potentials(p: ContinuumParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """Effective potentials felt by the upper (+) and lower (-) densities."""
+    """Effective potentials felt by the upper (+) and lower (-) densities,
+    zero at the origin: the common constant delta_e shift**2 would overflow."""
     x = np.asarray(x, dtype=float)
     shift = p.delta_omega / (4.0 * p.delta_e)
     # |x| keeps both potentials continuous through the kink at the origin
     base = np.abs(x) / p.delta_x
-    vp = p.delta_e * (base + shift) ** 2
-    vm = p.delta_e * (base - shift) ** 2
+    vp = p.delta_e * base * (base + 2.0 * shift)
+    vm = p.delta_e * base * (base - 2.0 * shift)
     return vp, vm
 
 
@@ -221,7 +232,6 @@ class FokkerPlanckEvolution:
         x: np.ndarray,
         gamma: float = 1.0,
         kappa_th: float = 1.0,
-        drift_scheme: str = "central",
     ):
         params.check_smooth()
         x = np.asarray(x, dtype=float)
@@ -240,14 +250,11 @@ class FokkerPlanckEvolution:
                 f"grid spacing {h:.3g} and delta_x = {params.delta_x:.3g} "
                 "give no finite diffusion rate"
             )
-        if drift_scheme not in ("central", "upwind"):
-            raise ValueError(f"unknown drift scheme {drift_scheme!r}")
         self.params = params
         self.x = x
         self.h = h
         self.gamma = float(gamma)
         self.kappa_th = float(kappa_th)
-        self.drift_scheme = drift_scheme
 
         # rates past the float range are refused by name below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -255,7 +262,7 @@ class FokkerPlanckEvolution:
             self.gamma_down = np.full_like(x, self.kappa_th)
             self.gamma_up = self.kappa_th * np.exp(-params.beta * omega)
             self.omega = omega
-            # face-centered forces for the flux stencils
+            # face-centered drifts, which bound the explicit steps
             x_face = 0.5 * (x[:-1] + x[1:])
             fp, fm = drift_forces(params, x_face)
             diff = 0.5 * params.delta_x**2
@@ -264,6 +271,9 @@ class FokkerPlanckEvolution:
                 params.beta * diff * fm,
             )
             self.diff = diff
+            # fitted hop weights B(+-beta dV) of each face, per channel
+            steps = [params.beta * np.diff(v) for v in shifted_potentials(params, x)]
+            self.face_hops = [(_bernoulli(z), _bernoulli(-z)) for z in steps]
             self.coh_decay = 0.5 * (self.gamma_down + self.gamma_up + self.gamma)
             src, tgt, rate = self.population_edges()
             multiplier = np.concatenate(
@@ -278,18 +288,11 @@ class FokkerPlanckEvolution:
         self._propagator = ExactPropagator(src, tgt, rate, 2 * x.size, multiplier)
 
     def _fp_operator(self, u: np.ndarray, which: int) -> np.ndarray:
-        """Flux-form divergence with zero-flux boundaries."""
-        drift = self.face_drift[which]
-        if self.drift_scheme == "central":
-            u_face = 0.5 * (u[:-1] + u[1:])
-        else:
-            u_face = np.where(drift > 0, u[:-1], u[1:])
-        flux = drift * u_face - self.diff * (u[1:] - u[:-1]) / self.h
-        # du_i = -(J_{i+1/2} - J_{i-1/2}) / h, missing faces carry no flux
-        div = np.zeros_like(u)
-        div[:-1] -= flux / self.h
-        div[1:] += flux / self.h
-        return div
+        """Fitted-flux divergence with zero-flux boundaries."""
+        fwd, bwd = self.face_hops[which]
+        # net flux from site i to i + 1, none through the boundary faces
+        flux = self.diff / self.h**2 * (fwd * u[:-1] - bwd * u[1:])
+        return -np.diff(flux, prepend=0.0, append=0.0)
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         m = self.x.shape[0]
@@ -306,26 +309,22 @@ class FokkerPlanckEvolution:
         """Population generator as directed edges (src, tgt, rate) on the
         stacked (P+, P-) vector of 2 * points nodes.
 
-        Sites i and i+1 exchange at the flux-stencil rates, gamma times
-        D/h**2 +- a/(2h) (central) or D/h**2 plus the downwind |a|/h
-        (upwind), with a the face drift; central rates turn negative where
-        the cell Peclet number |a| h / D exceeds 2.  Each site flips + -> -
-        at gamma_down and - -> + at gamma_up.
+        Sites i and i+1 exchange at the exponentially fitted rates
+        (Scharfetter & Gummel 1969, Chang & Cooper 1970): i -> i+1 at
+        gamma D/h**2 B(z) and i+1 -> i at gamma D/h**2 B(-z), with
+        z = beta (V_{i+1} - V_i) on the channel's shifted potential and
+        B(z) = z / (e**z - 1).  Their ratio is e**-z, so every rate is
+        non-negative and each channel balances exp(-beta V) exactly.  Each
+        site flips + -> - at gamma_down and - -> + at gamma_up.
         """
         m = self.x.shape[0]
         ddh = self.diff / self.h**2
         left = np.arange(m - 1)
         src, tgt, rate = [], [], []
-        for which in (0, 1):
-            a = self.face_drift[which] / self.h
-            if self.drift_scheme == "central":
-                fwd, bwd = ddh + 0.5 * a, ddh - 0.5 * a
-            else:
-                fwd, bwd = ddh + np.maximum(a, 0.0), ddh - np.minimum(a, 0.0)
-            off = which * m
+        for off, (fwd, bwd) in zip((0, m), self.face_hops):
             src += [off + left, off + left + 1]
             tgt += [off + left + 1, off + left]
-            rate += [self.gamma * fwd, self.gamma * bwd]
+            rate += [self.gamma * ddh * fwd, self.gamma * ddh * bwd]
         site = np.arange(m)
         src += [site, m + site]
         tgt += [m + site, site]
@@ -406,15 +405,15 @@ class FokkerPlanckEvolution:
         return mat
 
     def stationary_populations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stationary (P+, P-) with unit total mass."""
+        """Stationary (P+, P-) with unit total mass by GTH elimination on
+        the edges taken site-major (P+_i, P-_i at nodes 2i, 2i+1), which
+        keeps it banded; raises DegenerateStationaryError if not unique."""
         m = self.x.shape[0]
-        mat = self.population_matrix()
-        sys = np.array(mat)
-        sys[0, :] = self.h
-        rhs_vec = np.zeros(2 * m)
-        rhs_vec[0] = 1.0
-        sol = np.linalg.solve(sys, rhs_vec)
-        return sol[:m], sol[m:]
+        src, tgt, rate = self.population_edges()
+        keep = rate > 0.0
+        site_major = np.concatenate([2 * np.arange(m), 2 * np.arange(m) + 1])
+        pi = gth_stationary(2 * m, site_major[src[keep]], site_major[tgt[keep]], rate[keep])
+        return pi[0::2] / self.h, pi[1::2] / self.h
 
     def thermal_fields(self) -> FieldState:
         """Product of the weight density and local thermal populations.

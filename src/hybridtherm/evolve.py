@@ -4,13 +4,14 @@ In the conditional eigenbases the generator splits exactly: coherences decay
 in place with fixed complex multipliers and populations follow a classical
 rate matrix.  The default method, "exact", propagates each sample interval in
 closed form with ExactPropagator: coherences are multiplied by
-exp(multiplier * dt) and populations advance by exp(dt Q).  Below a size and
-work crossover that map is built once per distinct interval as a dense matrix
-by scaling and squaring, its columns renormalized to unit sum, and kept by
-the model for all its runs, so each interval is one matvec; above it populations advance by uniformization along
-the edge list, which also serves as the oracle.  The steppers "rk45"
-(adaptive embedded Dormand-Prince) and "rk4" (fixed-step classic) integrate
-apply instead; they stay as independent oracles.
+exp(multiplier * dt) and populations advance by exp(dt Q), for a rate matrix
+Q with non-negative rates.  Below a size and work crossover that map is
+built once per distinct interval as a dense matrix by scaling and squaring,
+its columns renormalized to unit sum, and kept by the model for all its
+runs, so each interval is one matvec; above it populations advance by
+uniformization along the edge list, which also serves as the oracle.  The
+steppers "rk45" (adaptive embedded Dormand-Prince) and "rk4" (fixed-step
+classic) integrate apply instead; they stay as independent oracles.
 
 run_samples is the one sample loop of both model families, the discrete
 generators here and the Fokker-Planck fields in continuum.  It works on
@@ -160,23 +161,22 @@ _DENSE_MAX_STATES = 512
 _DENSE_WORK_RATIO = 2**14
 
 
-def _poisson_weights(mean: float, norm: float = 1.0) -> np.ndarray:
+def _poisson_weights(mean: float) -> np.ndarray:
     """Poisson(k; mean) for k = 0 .. K, normalized to sum to one.
 
-    K is the first index at which the bound sum_{k > K} w_k norm**k on the
-    dropped terms of sum_k w_k B**k p falls below _POISSON_TAIL * |p|_1,
-    given norm >= |B|_1.  The terms fall geometrically once
-    mean * norm < k + 1, which bounds the tail by its first term.
+    K is the first index at which the dropped terms of sum_k w_k B**k p,
+    |B|_1 = 1, fall below _POISSON_TAIL * |p|_1.  They fall geometrically
+    once mean < k + 1, which bounds the tail by its first term.
     """
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
     weights = [math.exp(-mean)]
-    term = weights[0]  # w_k * norm**k of the next candidate term
+    term = weights[0]  # w_k of the next candidate term
     k = 0
     while True:
         k += 1
-        term *= mean * norm / k
-        ratio = mean * norm / (k + 1)
+        term *= mean / k
+        ratio = mean / (k + 1)
         if ratio < 1.0 and term <= _POISSON_TAIL * (1.0 - ratio):
             break
         weights.append(weights[-1] * mean / k)
@@ -208,7 +208,7 @@ class ExactPropagator:
 
     The plan of each distinct dt (substeps, weights and coherence factors,
     plus the dense matrix on that route) is built once and kept in _plans;
-    a plan that is not finite raises StiffIntegrationError.  Each model
+    coherence factors that overflow raise StiffIntegrationError.  Each model
     holds one propagator, so its runs share the plans.
     Route rule: dense when n <= _DENSE_MAX_STATES, which keeps the build's
     three n x n float64 arrays within 6.3 MB, and the build's
@@ -224,29 +224,22 @@ class ExactPropagator:
     grows with points**2, run 4 to 8 times faster on the dense route up to
     the cap.
 
-    Negative rates (a central drift stencil past cell Peclet number 2) make
-    |I + Q / Lambda|_1 exceed one; the truncation bound carries that norm,
-    and intervals and substeps are split so that it cannot amplify rounding
-    by more than a factor e.
+    A negative rate is refused (ValueError): the truncation bound of the
+    series assumes that B is stochastic, |B|_1 = 1.
     """
 
     def __init__(self, src, tgt, rate, n, multiplier):
         outflow = np.bincount(src, rate, minlength=n)
-        lam = float(np.max(np.abs(outflow), initial=0.0))
-        if not (
-            math.isfinite(lam)
-            and np.all(np.isfinite(rate))
-            and np.all(np.isfinite(multiplier))
-        ):
+        lam = float(np.max(outflow, initial=0.0))
+        if not (np.isfinite(rate).all() and np.isfinite(multiplier).all() and math.isfinite(lam)):
             raise StiffIntegrationError(0.0, "non-finite exact propagator")
+        if np.any(rate < 0.0):
+            raise ValueError(f"exact propagator needs rates >= 0, got {np.min(rate):.3g}")
         inv = 1.0 / lam if lam > 0.0 else 0.0
         # I + Q / Lambda as one edge list: the diagonal rides as self-edges
         self._src = np.concatenate([src, np.arange(n)])
         self._tgt = np.concatenate([tgt, np.arange(n)])
         self._hop = np.concatenate([rate * inv, 1.0 - outflow * inv])
-        self._norm = float(
-            np.max(np.bincount(self._src, np.abs(self._hop), minlength=n), initial=1.0)
-        )
         self._n = n
         self._lam = lam
         self._multiplier = multiplier
@@ -257,26 +250,21 @@ class ExactPropagator:
         plan = self._plans.get(dt)
         if plan is None:
             mean = self._lam * dt
-            steps = max(
-                1,
-                math.ceil(mean / _MAX_POISSON_MEAN),
-                math.ceil(mean * (self._norm - 1.0)),
-            )
-            weights = _poisson_weights(mean / steps, self._norm).tolist()
-            scaled = mean * max(1.0, self._norm - 1.0)
-            squarings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
-            horner = _poisson_weights(math.ldexp(mean, -squarings), self._norm)
+            steps = max(1, math.ceil(mean / _MAX_POISSON_MEAN))
+            weights = _poisson_weights(mean / steps).tolist()
+            squarings = math.ceil(math.log2(mean)) if mean > 1.0 else 0
+            horner = _poisson_weights(math.ldexp(mean, -squarings))
             n = self._n
             dense = n <= _DENSE_MAX_STATES and (squarings + horner.size - 1) * n**3 <= (
                 _DENSE_WORK_RATIO * steps * (len(weights) - 1) * self._src.size
             )
-            # rates far past the float range overflow the squarings; the
-            # check below names that instead of numpy warnings
+            # an overflowing phase is named below instead of by numpy warnings
             with np.errstate(all="ignore"):
-                matrix = self._dense(horner, squarings) if dense else None
                 factor = np.exp(dt * self._multiplier)
-            if not (np.isfinite(factor).all() and (matrix is None or np.isfinite(matrix).all())):
+            if not np.isfinite(factor).all():
                 raise StiffIntegrationError(0.0, "non-finite exact propagator")
+            # B is stochastic, so every power and product of it stays finite
+            matrix = self._dense(horner, squarings) if dense else None
             plan = self._plans[dt] = (matrix, steps, weights, factor)
         return plan
 
@@ -292,8 +280,6 @@ class ExactPropagator:
         for _ in range(squarings):
             p = p @ p
             p /= p.sum(axis=0)
-            if not np.isfinite(p[0]).all():
-                break  # a non-finite entry spreads; _plan names the failure
         return p
 
     def advance(

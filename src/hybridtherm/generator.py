@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eigh
+from .linalg import block_norms, eigh
 from .state import HybridHamiltonian, HybridState
 
 DEGENERACY_RTOL = 1e-10
@@ -285,7 +285,7 @@ def classical_offdiagonal_norm(full: np.ndarray, num_labels: int) -> float:
     """Largest Frobenius norm among off-diagonal classical blocks; NaN if any is NaN."""
     d = full.shape[0] // num_labels
     blocks = full.reshape(num_labels, d, num_labels, d).transpose(0, 2, 1, 3)
-    norms = np.linalg.norm(blocks, axis=(2, 3))
+    norms = block_norms(blocks)
     return float(np.max(norms[~np.eye(num_labels, dtype=bool)], initial=0.0))
 
 
@@ -376,7 +376,7 @@ def _closed_classes(n: int, src: np.ndarray, tgt: np.ndarray) -> list[np.ndarray
 _RESCALE_ABOVE = 2.0**256
 
 
-def _gth_stationary(
+def gth_stationary(
     n: int, src: np.ndarray, tgt: np.ndarray, rate: np.ndarray
 ) -> np.ndarray:
     """Stationary law of an irreducible chain given as edges (src -> tgt).
@@ -457,13 +457,13 @@ def stationary_state(gen: HybridGenerator) -> HybridState:
     local[members] = np.arange(members.size)
     inside = (local[src] >= 0) & (local[tgt] >= 0)
     pi = np.zeros(n)
-    pi[members] = _gth_stationary(
+    pi[members] = gth_stationary(
         members.size, local[src[inside]], local[tgt[inside]], rate[inside]
     )
     pops = pi.reshape(L, d)
     v = gen.eigenvectors
     result = HybridState(np.einsum("cki,ci,cli->ckl", v, pops, v.conj()))
-    residual = float(np.max(np.linalg.norm(apply(gen, result).blocks, axis=(1, 2))))
+    residual = float(np.max(block_norms(apply(gen, result).blocks)))
     tol = 1e-10 * max(1.0, gen.max_rate())
     if not residual <= tol:
         raise RuntimeError(

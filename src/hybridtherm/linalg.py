@@ -103,6 +103,19 @@ def frobenius(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat))
 
 
+def block_norms(blocks: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., d, d) stack; one whose squared
+    entries overflow is retaken on the matrix scaled by a power of two."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(blocks, axis=(-2, -1))
+        over = np.isinf(norms)
+        if over.any():
+            big = np.asarray(blocks)[over]
+            scale = np.ldexp(1.0, np.minimum(np.frexp(abs(big).max(axis=(1, 2)))[1], 1023))
+            norms[over] = np.linalg.norm(big / scale[:, None, None], axis=(1, 2)) * scale
+    return norms
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b); both arguments must be Hermitian."""
     a = np.asarray(a)

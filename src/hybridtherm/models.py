@@ -153,8 +153,9 @@ def required_half_width(s: LatticeScenario) -> int:
     edge = np.array(spans, dtype=float)
     # decrement of the log weight at the edge; positive once the quadratic
     # energy dominates the cosh growth, which is at most beta |delta_omega| / 2
-    # per site
-    decrement = site_log_weight(s, edge - 1.0) - site_log_weight(s, edge)
+    # per site; an overflowing energy gives a NaN decrement, which is skipped
+    with np.errstate(over="ignore", invalid="ignore"):
+        decrement = site_log_weight(s, edge - 1.0) - site_log_weight(s, edge)
     for span in (span for span, dec in zip(spans, decrement) if dec > 0.05):
         lw = site_log_weight(s, np.arange(-span, span + 1))
         dec = lw[-2] - lw[-1]

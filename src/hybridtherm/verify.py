@@ -21,6 +21,7 @@ from .generator import (
     stationary_state,
     superoperator_apply,
 )
+from .linalg import block_norms
 from .state import HybridState, hybrid_trace_distance
 from .thermal import hybrid_thermal
 
@@ -103,7 +104,7 @@ def verification_report(
     )
 
     thermal = hybrid_thermal(h, gen.beta)
-    resid = _worst(np.linalg.norm(apply(gen, thermal).blocks, axis=(1, 2)))
+    resid = _worst(block_norms(apply(gen, thermal).blocks))
     checks.append(
         _check(
             "thermal_stationarity",
@@ -118,7 +119,7 @@ def verification_report(
         state = random_hybrid_state(rng, gen.num_labels, gen.dim_s)
         fast = apply(gen, state)
         slow = collisional_apply(gen, state)
-        pair_gaps.append(np.max(np.linalg.norm(fast.blocks - slow.blocks, axis=(1, 2))))
+        pair_gaps.append(np.max(block_norms(fast.blocks - slow.blocks)))
         traces.append(abs(fast.total_trace()))
         herm = random_hermitian_blocks(rng, gen.num_labels, gen.dim_s)
         out = apply(gen, herm).blocks
@@ -161,7 +162,7 @@ def verification_report(
         checks.append(
             _check(
                 "bipartite_equivalence",
-                _worst(np.linalg.norm(np.stack(sup_gaps), axis=(1, 2))),
+                _worst(block_norms(np.stack(sup_gaps))),
                 1e-12 * rate_scale,
                 f"embedded superoperator on {num_states} random states",
             )

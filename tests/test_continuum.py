@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hybridtherm.continuum import (
     ContinuumParams,
     FieldState,
     FokkerPlanckEvolution,
+    _bernoulli,
     closed_form_normalization,
     continuum_profile,
     drift_forces,
@@ -20,6 +23,7 @@ from hybridtherm.continuum import (
     weight_density,
 )
 from hybridtherm.evolve import IntegratorConfig, StiffIntegrationError
+from hybridtherm.generator import DegenerateStationaryError
 from hybridtherm.models import LatticeScenario
 
 
@@ -163,24 +167,69 @@ class TestFokkerPlanck:
         traj = evo.integrate(evo.polarized_fields(), cfg)
         assert np.max(np.abs(traj.total_mass - traj.total_mass[0])) < 1e-12
 
-    def test_ou_stationary_second_order(self):
-        # with no splitting the stationary density is the plain Gaussian;
-        # halving h should cut the discretization error about fourfold
+    def test_ou_stationary_is_thermal(self):
+        # with no splitting the stationary density is the plain Gaussian,
+        # and the fitted stencil's fixed point is it to rounding
         p = ContinuumParams(
             beta=1.0, omega_0=0.0, delta_omega=0.0, delta_e=0.05, delta_x=1.0
         )
-
-        def stationary_error(points):
+        for points in (101, 201):
             x = np.linspace(-16, 16, points)
             evo = FokkerPlanckEvolution(p, x, gamma=1.0, kappa_th=1.0)
             pp, pm = evo.stationary_populations()
             exact = gaussian_envelope(p, x)
             exact = exact / (exact.sum() * evo.h)
-            return float(np.max(np.abs((pp + pm) - exact)))
+            assert np.max(np.abs((pp + pm) - exact)) < 1e-12 * exact.max()
 
-        coarse = stationary_error(101)
-        fine = stationary_error(201)
-        assert 3.0 < coarse / fine < 5.5
+    @pytest.mark.parametrize("points", [151, 301, 601])
+    def test_fixed_point_is_thermal_fields(self, points):
+        # each channel's fitted hops balance exp(-beta V) and the flips
+        # balance the local thermal populations, so the grid fixed point is
+        # thermal_fields() whatever the spacing
+        p = ContinuumParams(beta=1.0, delta_omega=0.4, delta_e=0.01, delta_x=1.0)
+        evo = FokkerPlanckEvolution(p, np.linspace(-20, 20, points), gamma=1.0)
+        pp, pm = evo.stationary_populations()
+        target = evo.thermal_fields()
+        peak = max(target.p_plus.max(), target.p_minus.max())
+        assert np.max(np.abs(pp - target.p_plus)) < 1e-12 * peak
+        assert np.max(np.abs(pm - target.p_minus)) < 1e-12 * peak
+        assert abs((pp + pm).sum() * evo.h - 1.0) < 1e-14
+
+    def test_no_flips_has_no_unique_fixed_point(self):
+        # kappa_th = 0 leaves the two channels as separate closed classes
+        p = make_params(40.0)
+        evo = FokkerPlanckEvolution(p, np.linspace(-25, 25, 101), gamma=1.0, kappa_th=0.0)
+        with pytest.raises(DegenerateStationaryError):
+            evo.stationary_populations()
+
+    def test_fitted_rates_are_non_negative_and_balanced(self):
+        p = make_params(40.0)
+        x = np.linspace(-25, 25, 101)
+        evo = FokkerPlanckEvolution(p, x, gamma=0.7)
+        src, tgt, rate = evo.population_edges()
+        assert np.all(rate >= 0.0)
+        m = x.size
+        vp, vm = shifted_potentials(p, x)
+        v = np.concatenate([vp, vm])
+        hop = (src < m) == (tgt < m)
+        fwd = hop & (tgt == src + 1)
+        bwd = np.flatnonzero(hop & (tgt == src - 1))
+        # the rate of i -> i+1 over that of i+1 -> i is exp(-beta dV)
+        ratio = rate[fwd] / rate[bwd]
+        want = np.exp(-p.beta * (v[tgt[fwd]] - v[src[fwd]]))
+        assert np.max(np.abs(ratio / want - 1.0)) < 1e-13
+
+    def test_bernoulli_past_the_float_range(self):
+        z = np.array([-1e300, -800.0, -1e-20, 0.0, 1e-20, 1.0, 800.0, 1e300, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _bernoulli(z)
+        want = [1e300, 800.0, 1.0, 1.0, 1.0, 1.0 / (math.e - 1.0), 800.0 * math.exp(-800.0), 0.0]
+        assert got[:-1] == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert math.isnan(got[-1])
+        # B(-z) = B(z) + z
+        w = np.linspace(-30, 30, 61)
+        assert np.max(np.abs(_bernoulli(-w) - _bernoulli(w) - w)) < 1e-13
 
     def test_bimodal_stationary_peaks(self):
         p = make_params(40.0)
@@ -259,12 +308,11 @@ class TestFokkerPlanck:
         with pytest.raises(ValueError):
             evo.integrate(evo.thermal_fields(), cfg)
 
-    @pytest.mark.parametrize("scheme", ["central", "upwind"])
-    def test_population_matrix_matches_rhs_probes(self, scheme):
+    def test_population_matrix_matches_rhs_probes(self):
         # the edge-list matrix against the flux form, probed column by column
         p = make_params(10.0, beta_de=0.05, beta_w0=0.4)
         x = np.linspace(-15, 15, 121)
-        evo = FokkerPlanckEvolution(p, x, gamma=0.8, kappa_th=1.3, drift_scheme=scheme)
+        evo = FokkerPlanckEvolution(p, x, gamma=0.8, kappa_th=1.3)
         m = x.size
         probes = np.zeros((2 * m, 2 * m))
         for j in range(2 * m):
@@ -273,14 +321,12 @@ class TestFokkerPlanck:
             probes[:, j] = evo.rhs(y)[: 2 * m].real
         assert np.max(np.abs(evo.population_matrix() - probes)) <= 1e-14
 
-    def test_exact_matches_rk45_with_negative_central_rates(self):
-        # cell Peclet number up to 4.1 on this coarse, steep grid: central
-        # hop rates turn negative and |I + Q / Lambda|_1 = 1.42, so each
-        # interval of 20 is split into 21 substeps under the norm's bound
+    def test_exact_matches_rk45_on_a_steep_coarse_grid(self):
+        # cell Peclet number up to 4.1 on this coarse, steep grid, where a
+        # central stencil would have negative rates
         p = ContinuumParams(beta=1.0, omega_0=0.0, delta_omega=0.4, delta_e=0.1, delta_x=1.0)
         x = np.linspace(-20, 20, 41)
         evo = FokkerPlanckEvolution(p, x, gamma=1.0)
-        assert np.min(evo.population_edges()[2]) < 0.0
         runs = {
             method: evo.integrate(
                 evo.coherent_fields(),
@@ -334,14 +380,6 @@ class TestFokkerPlanck:
         x = np.linspace(-20, 20, 11)
         with pytest.raises(ValueError):
             FokkerPlanckEvolution(p, x, gamma=1.0)
-
-    def test_upwind_scheme_runs(self):
-        p = make_params(40.0)
-        x = np.linspace(-25, 25, 201)
-        evo = FokkerPlanckEvolution(p, x, gamma=1.0, drift_scheme="upwind")
-        cfg = IntegratorConfig(t_max=5.0, sample_dt=1.0, convergence_tol=0.0)
-        traj = evo.integrate(evo.thermal_fields(), cfg)
-        assert np.max(np.abs(traj.total_mass - traj.total_mass[0])) < 1e-12
 
 
 class TestFieldState:

@@ -9,7 +9,6 @@ from hybridtherm.generator import (
     DegenerateStationaryError,
     TransitionSpec,
     _build_caches,
-    _gth_stationary,
     apply,
     basis_change_unitary,
     bipartite_superoperator,
@@ -18,6 +17,7 @@ from hybridtherm.generator import (
     collisional_apply,
     embed_state,
     extract_state,
+    gth_stationary,
     stationary_state,
     superoperator_apply,
 )
@@ -435,7 +435,7 @@ class TestSparseGth:
             q[cycle, np.roll(cycle, -1)] += rng.uniform(0.05, 5.0, n)
             np.fill_diagonal(q, 0.0)
             src, tgt = np.nonzero(q)
-            got = _gth_stationary(n, src, tgt, q[src, tgt])
+            got = gth_stationary(n, src, tgt, q[src, tgt])
             ker = linalg.null_space((q - np.diag(q.sum(axis=1))).T)
             assert ker.shape[1] == 1
             want = ker[:, 0] / ker[:, 0].sum()
@@ -449,7 +449,7 @@ class TestSparseGth:
         tgt = np.array([1, 2, 3, 4, 0, 1, 2, 3])
         rate = np.array([1.0] * 4 + [2.0**-600] * 4)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = _gth_stationary(n, src, tgt, rate)
+            got = gth_stationary(n, src, tgt, rate)
         assert got[4] == 1.0
         assert got[3] == 2.0**-600
         assert np.all(got[:3] == 0.0)

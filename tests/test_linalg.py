@@ -5,6 +5,7 @@ from hybridtherm.linalg import (
     ExpRangeError,
     HERMITICITY_RTOL,
     NonHermitianError,
+    block_norms,
     check_hermitian,
     eigh,
     eigvalsh_2x2,
@@ -125,6 +126,22 @@ class TestTraceDistance:
         a = np.diag([0.75, 0.25]).astype(complex)
         b = np.diag([0.5, 0.5]).astype(complex)
         assert abs(trace_distance(a, b) - 0.25) < 1e-14
+
+
+class TestBlockNorms:
+    def test_matches_linalg_norm(self, rng):
+        # only norms that overflow are taken again, scaled
+        blocks = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        blocks[1] *= 1e5
+        blocks[2] *= 1e-5
+        assert np.array_equal(block_norms(blocks), np.linalg.norm(blocks, axis=(1, 2)))
+
+    def test_entries_near_the_float_limit(self):
+        blocks = np.array([[[1e300, -1e300], [0.0, 1e300]], [[np.nan, 0.0], [0.0, 1.0]]])
+        with np.errstate(all="raise"):
+            got = block_norms(blocks[:1])
+        assert got[0] == pytest.approx(np.sqrt(3.0) * 1e300, rel=1e-15)
+        assert np.isnan(block_norms(blocks)[1])
 
 
 class TestScalarHelpers:
