@@ -472,6 +472,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.states < 1:
+        raise InputError(f"--states must be positive, got {args.states}")
     scenario = load_scenario(args.scenario)
     if scenario["type"] == "fokker_planck":
         raise InputError("verify expects a discrete scenario type")

@@ -603,15 +603,15 @@ def trajectory_csv(traj: Trajectory) -> str:
     cols += [f"p[{c}]" for c in range(num_labels)]
     cols += ["min_eig"]
     lines = [",".join(cols)]
-    for i in range(traj.times.shape[0]):
-        row = [repr(float(traj.times[i]))]
-        row.append(repr(float(traj.total_trace[i])))
-        row.append(repr(float(traj.entropy[i])))
-        if traj.dist_to_target is not None:
-            row.append(repr(float(traj.dist_to_target[i])))
-        else:
-            row.append("")
-        row += [repr(float(x)) for x in traj.classical[i]]
-        row.append(repr(float(traj.min_eigenvalue[i])))
-        lines.append(",".join(row))
+    dist = [] if traj.dist_to_target is None else [traj.dist_to_target]
+    table = np.column_stack(
+        [traj.times, traj.total_trace, traj.entropy, *dist]
+        + [traj.classical, traj.min_eigenvalue]
+    )
+    # a missing distance column is written as one empty cell per row
+    gap = [] if dist else [""]
+    for row in table.tolist():
+        cells = list(map(repr, row))
+        cells[3:3] = gap
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

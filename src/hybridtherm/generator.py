@@ -11,6 +11,9 @@ Three equivalent evaluation routes are provided: apply (fast, works in the
 local eigenbases), collisional_apply (direct operator products with explicit
 basis-change unitaries), and bipartite_superoperator (a dense Lindblad
 matrix on the embedded bipartite system).  Tests hold them together.
+apply and collisional_apply act on a HybridState or on any array whose
+trailing axes are (L, d, d), such as a (S, L, d, d) stack of S states, and
+return the same type and shape.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import block_norms, eigh
+from .linalg import block_norms, eigh, matmul_stack
 from .state import HybridHamiltonian, HybridState
 
 DEGENERACY_RTOL = 1e-10
@@ -199,29 +202,41 @@ def _build_caches(gen: HybridGenerator) -> None:
     gen._propagator = None
 
 
-def apply(gen: HybridGenerator, state: HybridState) -> HybridState:
+def apply(
+    gen: HybridGenerator, state: HybridState | np.ndarray
+) -> HybridState | np.ndarray:
     """Time derivative of a hybrid state under the generator.
 
-    Evaluated in the local eigenbases, where the commutator and every
-    anticommutator are elementwise multipliers and the jump gains, scattered
-    along the edge list, feed the diagonal; algebraically identical to the
-    operator form used by collisional_apply.  The basis changes are batched
-    matmuls, not einsum(optimize=True), whose path planning would cost more
-    than the 2x2 contraction itself.
+    state is a HybridState, which gives a HybridState, or an array whose
+    trailing axes are (L, d, d), such as a (S, L, d, d) stack of S states,
+    which gives an array of its shape.  Evaluated in the local eigenbases,
+    where the commutator and every anticommutator are elementwise
+    multipliers and the jump gains, scattered along the edge list, feed the
+    diagonal; algebraically identical to the operator form used by
+    collisional_apply.  The basis changes are linalg.matmul_stack products,
+    and each state of a stack goes through the same arithmetic as a call on
+    it alone.
     """
-    if state.num_labels != gen.num_labels or state.dim_s != gen.dim_s:
+    rho = state.blocks if isinstance(state, HybridState) else np.asarray(state)
+    L, d = gen.num_labels, gen.dim_s
+    if rho.shape[-3:] != (L, d, d):
         raise ValueError("state shape does not match generator")
     v = gen.eigenvectors
-    vh = v.conj().transpose(0, 2, 1)
-    s = vh @ state.blocks @ v
+    vh = v.conj().swapaxes(-1, -2)
+    s = matmul_stack(matmul_stack(vh, rho), v)
     ds = gen._multiplier * s
-    pops = np.einsum("cii->ci", s).real.reshape(-1)
-    gains = np.bincount(gen._tgt, gen._rate * pops[gen._src], minlength=pops.size)
-    idx = np.arange(gen.dim_s)
-    ds[:, idx, idx] += gains.reshape(gen.num_labels, gen.dim_s)
-    out = v @ ds @ vh
-    out = 0.5 * (out + out.conj().transpose(0, 2, 1))
-    return HybridState(out)
+    pops = np.diagonal(s, axis1=-2, axis2=-1).real.reshape(-1, L * d)
+    # one bincount over all states, each offset into its own row, adds the
+    # gains of every target in edge order as a single-state call does
+    slots = np.arange(pops.shape[0])[:, None] * (L * d) + gen._tgt
+    gains = np.bincount(
+        slots.ravel(), (gen._rate * pops[:, gen._src]).ravel(), minlength=pops.size
+    )
+    idx = np.arange(d)
+    ds[..., idx, idx] += gains.reshape(ds.shape[:-1])
+    out = matmul_stack(matmul_stack(v, ds), vh)
+    out = 0.5 * (out + out.conj().swapaxes(-1, -2))
+    return HybridState(out) if isinstance(state, HybridState) else out
 
 
 def basis_change_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,33 +247,44 @@ def basis_change_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b @ a.conj().swapaxes(-1, -2)
 
 
-def collisional_apply(gen: HybridGenerator, state: HybridState) -> HybridState:
+def collisional_apply(
+    gen: HybridGenerator, state: HybridState | np.ndarray
+) -> HybridState | np.ndarray:
     """Same derivative via explicit operator products, for equivalence checks.
 
-    The transitions come from the rate table, not from apply's edge list.
-    Every jump acts on its source block moved into the target label's basis
-    by the basis-change unitary (the identity within one label).  All
-    transitions are stacked and their losses and gains scattered at once.
+    Accepts and returns the shapes apply does.  The transitions come from
+    the rate table, not from apply's edge list.  Every jump acts on its
+    source block moved into the target label's basis by the basis-change
+    unitary (the identity within one label).  All transitions of all states
+    are stacked, multiplied with linalg.matmul_stack and their losses and
+    gains scattered at once, so the intermediates hold S * E blocks for S
+    states and E directed transitions.
     """
-    if state.num_labels != gen.num_labels or state.dim_s != gen.dim_s:
+    rho = state.blocks if isinstance(state, HybridState) else np.asarray(state)
+    if rho.shape[-3:] != (gen.num_labels, gen.dim_s, gen.dim_s):
         raise ValueError("state shape does not match generator")
-    rho = state.blocks
     h = gen.hamiltonian.conditionals()
-    out = -1j * (h @ rho - rho @ h)
+    out = -1j * (matmul_stack(h, rho) - matmul_stack(rho, h))
     src, tgt, rate = gen.directed_transitions()
     (cs, ks), (ct, kt) = src.T, tgt.T
     rate = rate[:, None, None]
     vecs = gen.eigenvectors
     src_vec = vecs[cs, :, ks]
     proj_src = src_vec[:, :, None] * src_vec.conj()[:, None, :]
-    rho_s = rho[cs]
-    loss = 0.5 * rate * (proj_src @ rho_s + rho_s @ proj_src)
+    rho_s = rho[..., cs, :, :]
+    loss = 0.5 * rate * (matmul_stack(proj_src, rho_s) + matmul_stack(rho_s, proj_src))
     u_tilde = basis_change_unitary(vecs[ct], vecs[cs])
-    moved = u_tilde.conj().transpose(0, 2, 1) @ rho_s @ u_tilde
+    moved = matmul_stack(matmul_stack(u_tilde.conj().swapaxes(-1, -2), rho_s), u_tilde)
     a_op = vecs[ct, :, kt][:, :, None] * vecs[ct, :, ks].conj()[:, None, :]
-    gain = rate * (a_op @ moved @ a_op.conj().transpose(0, 2, 1))
-    np.add.at(out, np.concatenate([cs, ct]), np.concatenate([-loss, gain]))
-    return HybridState(out)
+    gain = rate * matmul_stack(matmul_stack(a_op, moved), a_op.conj().swapaxes(-1, -2))
+    # scattered through flat indices, where ufunc.at has a fast loop; every
+    # block takes its losses, then its gains, in transition order
+    slots = np.arange(out.size).reshape(out.shape)
+    flat = out.reshape(-1)
+    np.subtract.at(flat, slots[..., cs, :, :].reshape(-1), loss.reshape(-1))
+    np.add.at(flat, slots[..., ct, :, :].reshape(-1), gain.reshape(-1))
+    out = flat.reshape(out.shape)
+    return HybridState(out) if isinstance(state, HybridState) else out
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,21 @@ def block_norms(blocks: np.ndarray) -> np.ndarray:
     return norms
 
 
+def matmul_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on (..., d, d) stacks, leading axes broadcast, as d broadcast
+    multiply-adds.
+
+    On the 2x2 blocks of the bundled models this is about three times as
+    fast as `@`, which pays a BLAS call per matrix; from d = 4 on long
+    stacks `@` is faster.  The sum over k runs in index order and without
+    fused multiply-adds, so it can differ from `@` in the last bits.
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b); both arguments must be Hermitian."""
     a = np.asarray(a)

@@ -26,6 +26,12 @@ from .state import HybridState, hybrid_trace_distance
 from .thermal import hybrid_thermal
 
 BIPARTITE_CHECK_CAP = 24
+# bound on one edge-stacked intermediate of collisional_apply (S * E * d**2
+# complex entries for S probe states and E directed transitions): the
+# bundled L = 37 lattice (E = 218) takes all 20 default probes at once,
+# while at large L the stacks shrink to one state and memory stays that of
+# a single-state call
+PROBE_CHUNK_BYTES = 2**20
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -53,6 +59,16 @@ def random_hermitian_blocks(
     z = rng.normal(size=(num_labels, 2, dim_s, dim_s))
     g = z[:, 0] + 1j * z[:, 1]
     return HybridState(0.5 * (g + g.conj().transpose(0, 2, 1)))
+
+
+def _probe_stacks(gen: HybridGenerator, num_states: int, draw):
+    """Call draw() num_states times in order and yield its arrays stacked,
+    in chunks whose edge intermediates stay within PROBE_CHUNK_BYTES."""
+    per_state = max(1, gen._rate.size) * gen.dim_s**2 * 16
+    size = max(1, PROBE_CHUNK_BYTES // per_state)
+    for start in range(0, num_states, size):
+        draws = [draw() for _ in range(min(size, num_states - start))]
+        yield tuple(np.stack(parts) for parts in zip(*draws))
 
 
 def _check(name, residual, tolerance, detail=""):
@@ -89,7 +105,14 @@ def verification_report(
     rng: np.random.Generator,
     num_states: int = 20,
 ) -> dict:
-    """Run every generator invariant and collect a machine-readable report."""
+    """Run every generator invariant and collect a machine-readable report.
+
+    The probe states are drawn in a fixed order (each random state, then
+    its Hermitian probe; then the states of the bipartite check) and
+    evaluated as stacks of at most PROBE_CHUNK_BYTES of edge intermediates.
+    """
+    if num_states < 1:
+        raise ValueError(f"num_states must be positive, got {num_states}")
     h = gen.hamiltonian
     checks = []
     rate_scale = max(1.0, gen.max_rate())
@@ -114,20 +137,24 @@ def verification_report(
         )
     )
 
+    L, d = gen.num_labels, gen.dim_s
+
+    def state_and_probe():
+        return random_hybrid_state(rng, L, d).blocks, random_hermitian_blocks(rng, L, d).blocks
+
     pair_gaps, traces, herm_gaps = [], [], []
-    for _ in range(num_states):
-        state = random_hybrid_state(rng, gen.num_labels, gen.dim_s)
-        fast = apply(gen, state)
-        slow = collisional_apply(gen, state)
-        pair_gaps.append(np.max(block_norms(fast.blocks - slow.blocks)))
-        traces.append(abs(fast.total_trace()))
-        herm = random_hermitian_blocks(rng, gen.num_labels, gen.dim_s)
-        out = apply(gen, herm).blocks
-        herm_gaps.append(np.max(np.abs(out - out.conj().transpose(0, 2, 1))))
+    for states, herms in _probe_stacks(gen, num_states, state_and_probe):
+        fast = apply(gen, states)
+        slow = collisional_apply(gen, states)
+        pair_gaps.append(np.max(block_norms(fast - slow), axis=-1))
+        traces.append(np.abs(np.einsum("scii->s", fast).real))
+        out = apply(gen, herms)
+        skew = out - out.conj().swapaxes(-1, -2)
+        herm_gaps.append(np.max(np.abs(skew), axis=(-3, -2, -1)))
     checks.append(
         _check(
             "collisional_equivalence",
-            _worst(pair_gaps),
+            _worst(np.concatenate(pair_gaps)),
             1e-12 * rate_scale,
             f"block routes compared on {num_states} random states",
         )
@@ -135,7 +162,7 @@ def verification_report(
     checks.append(
         _check(
             "trace_preservation",
-            _worst(traces),
+            _worst(np.concatenate(traces)),
             1e-12 * rate_scale,
             "total trace of the derivative",
         )
@@ -143,22 +170,23 @@ def verification_report(
     checks.append(
         _check(
             "hermiticity_preservation",
-            _worst(herm_gaps),
+            _worst(np.concatenate(herm_gaps)),
             1e-12 * rate_scale,
             "derivative of Hermitian non-positive inputs",
         )
     )
 
-    dim = gen.num_labels * gen.dim_s
+    dim = L * d
     if dim <= BIPARTITE_CHECK_CAP:
         sup = bipartite_superoperator(gen)
         sup_gaps, off_norms = [], []
-        for _ in range(num_states):
-            state = random_hybrid_state(rng, gen.num_labels, gen.dim_s)
-            fast = apply(gen, state)
-            full = superoperator_apply(sup, embed_state(state))
-            off_norms.append(classical_offdiagonal_norm(full, gen.num_labels))
-            sup_gaps.append(embed_state(fast) - full)
+        for (states,) in _probe_stacks(
+            gen, num_states, lambda: (random_hybrid_state(rng, L, d).blocks,)
+        ):
+            for state, fast in zip(states, apply(gen, states)):
+                full = superoperator_apply(sup, embed_state(HybridState(state)))
+                off_norms.append(classical_offdiagonal_norm(full, L))
+                sup_gaps.append(embed_state(HybridState(fast)) - full)
         checks.append(
             _check(
                 "bipartite_equivalence",

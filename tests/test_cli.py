@@ -518,6 +518,29 @@ class TestVerify:
         assert failed["stationary_matches_thermal"]["residual"] is None
         assert "FAIL stationary_matches_thermal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["tls", "lattice"])
+    @pytest.mark.parametrize("states", ["0", "-3"])
+    def test_non_positive_states_exit_2(self, tmp_path, capsys, name, states):
+        out = tmp_path / "out"
+        code = cli.main(
+            [
+                "verify",
+                "--scenario",
+                str(SCENARIOS / f"{name}.json"),
+                "--out",
+                str(out),
+                "--states",
+                states,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            f"error: --states must be positive, got {states}"
+        ]
+        assert captured.out == ""
+        assert not (out / "verify.json").exists()
+
     def test_rejects_fokker_planck(self, tmp_path):
         code = cli.main(
             [

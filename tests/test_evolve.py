@@ -595,6 +595,30 @@ class TestTrajectoryCsv:
         assert float(row[1]) == traj.total_trace[2]
         assert float(row[3]) == traj.dist_to_target[2]
 
+    @staticmethod
+    def per_cell_csv(traj):
+        """The CSV written one numpy scalar at a time: the reference text."""
+        lines = [trajectory_csv(traj).split("\n", 1)[0]]
+        for i in range(traj.times.shape[0]):
+            row = [repr(float(traj.times[i]))]
+            row.append(repr(float(traj.total_trace[i])))
+            row.append(repr(float(traj.entropy[i])))
+            if traj.dist_to_target is not None:
+                row.append(repr(float(traj.dist_to_target[i])))
+            else:
+                row.append("")
+            row += [repr(float(x)) for x in traj.classical[i]]
+            row.append(repr(float(traj.min_eigenvalue[i])))
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+    def test_bundled_lattice_matches_per_cell_text(self):
+        traj = TestDenseRoute.run_bundled("lattice")
+        assert traj.times.shape[0] > 100
+        assert trajectory_csv(traj) == self.per_cell_csv(traj)
+        untargeted = dataclasses.replace(traj, dist_to_target=None)
+        assert trajectory_csv(untargeted) == self.per_cell_csv(untargeted)
+
     def test_missing_target_leaves_column_empty(self, rng):
         s = TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0)
         _, gen = build_tls(s)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hybridtherm import cli, verify
 from hybridtherm.generator import (
     DegenerateStationaryError,
     TransitionSpec,
@@ -21,6 +22,7 @@ from hybridtherm.generator import (
     stationary_state,
     superoperator_apply,
 )
+from hybridtherm.linalg import block_norms
 from hybridtherm.models import (
     LatticeScenario,
     TlsScenario,
@@ -29,7 +31,7 @@ from hybridtherm.models import (
     build_tls,
     tls_transitions,
 )
-from hybridtherm.state import HybridHamiltonian, hybrid_trace_distance
+from hybridtherm.state import HybridHamiltonian, HybridState, hybrid_trace_distance
 from hybridtherm.thermal import hybrid_thermal
 from hybridtherm.verify import (
     random_hermitian,
@@ -453,6 +455,109 @@ class TestSparseGth:
         assert got[4] == 1.0
         assert got[3] == 2.0**-600
         assert np.all(got[:3] == 0.0)
+
+
+class TestStackedRoutes:
+    @pytest.mark.parametrize("name", ["tls", "lattice"])
+    def test_bundled_stack_equals_per_state_calls(self, rng, name):
+        _, gen = cli.build_discrete(cli.load_scenario(str(SCENARIOS / f"{name}.json")))
+        states = np.stack(
+            [random_hybrid_state(rng, gen.num_labels, gen.dim_s).blocks for _ in range(5)]
+        )
+        for route in (apply, collisional_apply):
+            got = route(gen, states)
+            assert isinstance(got, np.ndarray) and got.shape == states.shape
+            for state, block in zip(states, got):
+                one = route(gen, HybridState(state))
+                assert isinstance(one, HybridState)
+                assert np.array_equal(one.blocks, block)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_random_stack_matches_per_state_calls(self, rng, dim):
+        for _ in range(4):
+            _, gen = random_generator(rng, num_labels=3, dim=dim)
+            states = np.stack(
+                [random_hermitian_blocks(rng, 3, dim).blocks for _ in range(4)]
+            ).reshape(2, 2, 3, dim, dim)
+            for route in (apply, collisional_apply):
+                got = route(gen, states)
+                flat = states.reshape(4, 3, dim, dim)
+                want = np.stack([route(gen, HybridState(s)).blocks for s in flat])
+                gap = np.max(np.abs(got.reshape(flat.shape) - want))
+                assert gap <= 1e-15 * max(1.0, gen.max_rate())
+
+    def test_wrong_trailing_shape_rejected(self, rng):
+        _, gen = random_generator(rng, num_labels=2, dim=3)
+        for route in (apply, collisional_apply):
+            with pytest.raises(ValueError, match="does not match"):
+                route(gen, np.zeros((4, 3, 3, 3)))
+
+
+def per_state_probe_residuals(gen, rng, num_states):
+    """The probe loops of verification_report one state at a time: the
+    reference for its stacked evaluation."""
+    L, d = gen.num_labels, gen.dim_s
+    pair_gaps, traces, herm_gaps = [], [], []
+    for _ in range(num_states):
+        state = random_hybrid_state(rng, L, d)
+        fast = apply(gen, state)
+        slow = collisional_apply(gen, state)
+        pair_gaps.append(np.max(block_norms(fast.blocks - slow.blocks)))
+        traces.append(abs(fast.total_trace()))
+        out = apply(gen, random_hermitian_blocks(rng, L, d)).blocks
+        herm_gaps.append(np.max(np.abs(out - out.conj().transpose(0, 2, 1))))
+    got = {
+        "collisional_equivalence": max(pair_gaps),
+        "trace_preservation": max(traces),
+        "hermiticity_preservation": max(herm_gaps),
+    }
+    if L * d <= verify.BIPARTITE_CHECK_CAP:
+        sup = bipartite_superoperator(gen)
+        sup_gaps, off_norms = [], []
+        for _ in range(num_states):
+            state = random_hybrid_state(rng, L, d)
+            full = superoperator_apply(sup, embed_state(state))
+            off_norms.append(classical_offdiagonal_norm(full, L))
+            sup_gaps.append(embed_state(apply(gen, state)) - full)
+        got["bipartite_equivalence"] = np.max(block_norms(np.stack(sup_gaps)))
+        got["classical_closure"] = max(off_norms)
+    return {name: float(value) for name, value in got.items()}
+
+
+class TestProbeStacks:
+    @staticmethod
+    def chunks_of_report(monkeypatch, gen, seed):
+        sizes = []
+
+        def spy(gen, states):
+            sizes.append(states.shape[0])
+            return collisional_apply(gen, states)
+
+        monkeypatch.setattr(verify, "collisional_apply", spy)
+        return sizes, verification_report(gen, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("name", ["tls", "lattice"])
+    def test_uneven_chunks_match_per_state_loop(self, monkeypatch, name):
+        _, gen = cli.build_discrete(cli.load_scenario(str(SCENARIOS / f"{name}.json")))
+        per_state = gen._rate.size * gen.dim_s**2 * 16
+        monkeypatch.setattr(verify, "PROBE_CHUNK_BYTES", 7 * per_state + 1)
+        sizes, report = self.chunks_of_report(monkeypatch, gen, 5)
+        assert sizes == [7, 7, 6]
+        want = per_state_probe_residuals(gen, np.random.default_rng(5), 20)
+        got = {c["name"]: c["residual"] for c in report["checks"] if c["name"] in want}
+        assert got == want
+
+    def test_bundled_lattice_probes_fit_one_chunk(self, monkeypatch):
+        _, gen = cli.build_discrete(cli.load_scenario(str(SCENARIOS / "lattice.json")))
+        sizes, report = self.chunks_of_report(monkeypatch, gen, 0)
+        assert sizes == [20]
+        assert report["all_passed"]
+
+    def test_no_probe_states_refused(self):
+        _, gen = build_tls(TlsScenario(beta=1.0, omega_a=2.0, omega_b=1.0))
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="num_states must be positive"):
+                verification_report(gen, np.random.default_rng(0), num_states=count)
 
 
 class TestFaultInjection:

@@ -14,6 +14,7 @@ from hybridtherm.linalg import (
     herm_exp,
     log_cosh,
     logsumexp,
+    matmul_stack,
     shifted_softmax,
     trace_distance,
     trace_norm_stack,
@@ -108,6 +109,20 @@ class TestEigh:
                 v[pivot, k] = v[pivot, k].real
             assert np.array_equal(w_got, w)
             assert np.array_equal(v_got, v)
+
+
+class TestMatmulStack:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matches_matmul(self, rng, dim):
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        # equal stacks, and an (E, d, d) stack broadcast against (S, E, d, d)
+        pairs = [(draw(50, dim, dim), draw(50, dim, dim)), (draw(9, dim, dim), draw(4, 9, dim, dim))]
+        for a, b in pairs:
+            got, want = matmul_stack(a, b), a @ b
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(a) @ np.abs(b)))
 
 
 class TestTraceDistance:
